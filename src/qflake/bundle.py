@@ -12,54 +12,50 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .classifiers import model_from_dict, model_to_dict, train_model
+from .classifiers import model_from_dict, model_to_dict
 from .corpus import Corpus
-from .errors import ConfigError
-from .eval import PipelineConfig, _tuning_subset_positions, tune_threshold
-from .linalg import PcaModel, pca_ceiling, pca_fit, pca_transform
-from .resample import smote_resample
-from .seeding import derive_seed
-from .text import (
-    Vocabulary,
-    fit_vocabulary,
-    get_tokenizer_profile,
-    tokenize,
-    transform,
-)
+from .errors import ConfigError, QflakeError
+from .eval import FittedPipeline, PipelineConfig, ThresholdCurve, fit_pipeline
+from .linalg import PcaModel
+from .text import Vocabulary, get_tokenizer_profile, tokenize
 
 FORMAT_VERSION = 1
 
 
 @dataclass
 class ModelBundle:
+    """A fitted pipeline with its tokenizer and training metadata."""
+
     tokenizer: str
-    vocabulary: Vocabulary
-    pca: PcaModel | None
-    model: object
-    threshold: float
+    pipeline: FittedPipeline
     metadata: dict
     format_version: int = FORMAT_VERSION
 
+    @property
+    def threshold(self) -> float:
+        return self.pipeline.threshold
+
     def to_dict(self) -> dict:
+        p = self.pipeline
         pca = None
-        if self.pca is not None:
+        if p.pca is not None:
             pca = {
-                "mean": [float(v) for v in self.pca.mean],
-                "components": [[float(v) for v in row] for row in self.pca.components],
-                "explained_variance": [float(v) for v in self.pca.explained_variance],
+                "mean": [float(v) for v in p.pca.mean],
+                "components": [[float(v) for v in row] for row in p.pca.components],
+                "explained_variance": [float(v) for v in p.pca.explained_variance],
             }
         return {
             "format_version": self.format_version,
             "tokenizer": self.tokenizer,
-            "vocabulary": list(self.vocabulary.ordered_tokens),
+            "vocabulary": list(p.vocabulary.ordered_tokens),
             "pca": pca,
-            "model": model_to_dict(self.model),
-            "threshold": float(self.threshold),
+            "model": model_to_dict(p.model),
+            "threshold": float(p.threshold),
             "metadata": self.metadata,
         }
 
@@ -78,13 +74,24 @@ class ModelBundle:
                 components=np.array(p["components"], dtype=np.float64),
                 explained_variance=np.array(p["explained_variance"], dtype=np.float64),
             )
-        return cls(
-            tokenizer=d["tokenizer"],
+        metadata = dict(d["metadata"])
+        threshold = float(d["threshold"])
+        curve = metadata.get("threshold_curve")
+        pipeline = FittedPipeline(
             vocabulary=Vocabulary(ordered_tokens=tuple(d["vocabulary"])),
             pca=pca,
             model=model_from_dict(d["model"]),
-            threshold=float(d["threshold"]),
-            metadata=dict(d["metadata"]),
+            threshold=threshold,
+            curve=None if curve is None else ThresholdCurve(
+                grid=tuple((t, f1) for t, f1 in curve), best_threshold=threshold
+            ),
+            pca_effective=metadata.get("pca_effective"),
+            smote_synthetic=metadata.get("smote_synthetic", 0),
+        )
+        return cls(
+            tokenizer=d["tokenizer"],
+            pipeline=pipeline,
+            metadata=metadata,
             format_version=version,
         )
 
@@ -96,17 +103,20 @@ class ModelBundle:
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except QflakeError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(
+                f"{path}: not a valid model bundle ({type(exc).__name__}: {exc})"
+            ) from None
 
     # ------------------------------------------------------------- scoring
 
     def score_texts(self, texts) -> np.ndarray:
         profile = get_tokenizer_profile(self.tokenizer)
-        docs = [tokenize(t, profile) for t in texts]
-        X = transform(docs, self.vocabulary).counts.astype(np.float64)
-        if self.pca is not None:
-            X = pca_transform(self.pca, X)
-        return self.model.score(X)
+        return self.pipeline.score([tokenize(t, profile) for t in texts])
 
     def predict_texts(self, texts):
         scores = self.score_texts(texts)
@@ -124,54 +134,13 @@ def train_bundle(corpus: Corpus, config: PipelineConfig, seed: int = 0) -> Model
 
     Threshold tuning, when requested, scores a seeded stratified 20%
     subset of the corpus; the model itself always trains on every row.
+    With no evaluation fold, ``tune_on_eval_fold`` does not apply.
     """
     profile = get_tokenizer_profile(config.tokenizer)
     docs = [tokenize(e.text, profile) for e in corpus]
-    y = corpus.labels()
-    vocab = fit_vocabulary(docs)
-    X_counts = transform(docs, vocab, row_ids=corpus.ids()).counts.astype(np.float64)
-
-    if config.smote:
-        resampled = smote_resample(
-            X_counts, y, config.smote_k, seed=derive_seed(seed, "smote", "full")
-        )
-        X_fit, y_fit = resampled.X, resampled.y
-        smote_synthetic = resampled.n_synthetic
-    else:
-        X_fit, y_fit = X_counts, y
-        smote_synthetic = 0
-
-    pca_model = None
-    pca_effective = None
-    X_fit_model = X_fit
-    if config.pca_components is not None:
-        pca_effective = min(
-            config.pca_components, pca_ceiling(X_fit.shape[0], X_fit.shape[1])
-        )
-        pca_model = pca_fit(X_fit, pca_effective)
-        X_fit_model = pca_transform(pca_model, X_fit)
-
-    model = train_model(
-        config.family,
-        X_fit_model,
-        y_fit,
-        config.hyperparameters,
-        seed=derive_seed(seed, "model", "full"),
+    fitted = fit_pipeline(
+        docs, corpus.labels(), replace(config, tune_on_eval_fold=False), seed, "full"
     )
-
-    threshold = config.threshold.value
-    curve_grid = None
-    if config.threshold.mode == "tuned":
-        positions = _tuning_subset_positions(y, seed, "full")
-        X_tune = X_counts[positions]
-        if pca_model is not None:
-            X_tune = pca_transform(pca_model, X_tune)
-        curve = tune_threshold(
-            model.score(X_tune), y[positions], config.threshold.grid_step
-        )
-        threshold = curve.best_threshold
-        curve_grid = [[t, f1] for t, f1 in curve.grid]
-
     metadata = {
         "family": config.family,
         "profile": config.profile_name,
@@ -180,18 +149,13 @@ def train_bundle(corpus: Corpus, config: PipelineConfig, seed: int = 0) -> Model
         "corpus_hash": corpus.content_hash(),
         "class_counts": {k.value: v for k, v in corpus.class_counts.items()},
         "smote": config.smote,
-        "smote_synthetic": smote_synthetic,
+        "smote_synthetic": fitted.smote_synthetic,
         "pca_requested": config.pca_components,
-        "pca_effective": pca_effective,
+        "pca_effective": fitted.pca_effective,
         "threshold_mode": config.threshold.mode,
-        "threshold_curve": curve_grid,
+        "threshold_curve": (
+            None if fitted.curve is None else [[t, f1] for t, f1 in fitted.curve.grid]
+        ),
         "created_at": _creation_stamp(),
     }
-    return ModelBundle(
-        tokenizer=config.tokenizer,
-        vocabulary=vocab,
-        pca=pca_model,
-        model=model,
-        threshold=threshold,
-        metadata=metadata,
-    )
+    return ModelBundle(tokenizer=config.tokenizer, pipeline=fitted, metadata=metadata)

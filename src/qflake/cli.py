@@ -18,10 +18,11 @@ from pathlib import Path
 from .bundle import ModelBundle, train_bundle
 from .classifiers import FAMILIES, get_profile
 from .corpus import (
+    Corpus,
     Label,
     SubsetMode,
-    collect_manifest_issues,
     load_manifest,
+    parse_manifest,
     scan_tree,
     select_subset,
     write_manifest,
@@ -206,18 +207,21 @@ def cmd_ingest(args, file_config: dict) -> int:
         if not records:
             print("no entries", file=sys.stderr)
             return EXIT_VALIDATION
-        out = args.out or (args.root / "manifest.jsonl")
-        write_manifest(records, out)
-        manifest_path = out
+        manifest_path = args.out or (args.root / "manifest.jsonl")
+        write_manifest(records, manifest_path)
+        corpus = load_manifest(manifest_path)
     else:
-        issues = collect_manifest_issues(args.manifest)
+        items = list(parse_manifest(args.manifest))
+        issues = [i for i in items if isinstance(i, QflakeError)]
+        if not items:
+            issues = ["no entries"]
         if issues:
             for issue in issues:
                 print(f"invalid manifest: {issue}", file=sys.stderr)
             return EXIT_VALIDATION
+        corpus = Corpus(tuple(items))
         manifest_path = args.manifest
         if args.out is not None:
-            corpus = load_manifest(manifest_path)
             base = Path(args.out).parent.resolve()
             records = [
                 {
@@ -230,7 +234,6 @@ def cmd_ingest(args, file_config: dict) -> int:
             ]
             write_manifest(records, args.out)
             manifest_path = args.out
-    corpus = load_manifest(manifest_path)
     counts = corpus.class_counts
     print(
         f"{counts[Label.FLAKY]} flaky / {counts[Label.NONFLAKY]} nonflaky "

@@ -17,11 +17,13 @@ import numpy as np
 
 from .errors import (
     BadLabelError,
+    BadRecordError,
     DuplicateIdError,
     EmptyClassError,
     EmptyFileError,
     EncodingError,
     MissingFileError,
+    QflakeError,
     TooFewSamplesError,
 )
 from .seeding import STREAM_FOLDS, STREAM_SUBSET, rng_for
@@ -105,72 +107,85 @@ class FoldAssignment:
     n_folds: int
     assignment: dict[str, int] = field(compare=True)
 
-    def fold_ids(self, fold: int) -> list[str]:
-        return sorted(i for i, f in self.assignment.items() if f == fold)
 
-
-def _parse_label(raw: str) -> Label:
+def _decode(path: Path) -> str:
+    """A file's UTF-8 text; unreadable or undecodable files raise."""
     try:
-        return Label(raw)
-    except ValueError:
-        raise BadLabelError(
-            f"label must be 'flaky' or 'nonflaky', got {raw!r}"
-        ) from None
-
-
-def _read_text(path: Path) -> str:
+        data = path.read_bytes()
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise MissingFileError(f"cannot read {path}: {reason}") from None
     try:
-        text = path.read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
+def _parse_record(line: str, base: Path, seen_ids: set) -> CorpusEntry:
+    """One manifest line to an entry, or the QflakeError that rejects it."""
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise BadRecordError(f"invalid JSON ({exc})") from None
+    if not isinstance(record, dict):
+        raise BadRecordError(f"record must be a JSON object, got {type(record).__name__}")
+    missing = [k for k in ("id", "path", "label") if k not in record]
+    if missing:
+        raise BadRecordError(f"missing field(s) {missing}")
+    entry_id = str(record["id"])
+    if entry_id in seen_ids:
+        raise DuplicateIdError(f"duplicate id {entry_id!r}")
+    seen_ids.add(entry_id)
+    if record["label"] not in [label.value for label in CLASS_ORDER]:
+        raise BadLabelError(
+            f"label must be 'flaky' or 'nonflaky', got {record['label']!r}"
+        )
+    if not isinstance(record["path"], str):
+        raise BadRecordError(f"path must be a string, got {record['path']!r}")
+    file_path = base / record["path"]
+    text = _decode(file_path)
     if not text:
-        raise EmptyFileError(f"{path}: file is empty")
-    return text
+        raise EmptyFileError(f"{file_path}: file is empty")
+    return CorpusEntry(
+        id=entry_id,
+        path=str(file_path),
+        label=Label(record["label"]),
+        repo=str(record.get("repo", "unknown")),
+        text=text,
+    )
 
 
-def load_manifest(manifest_path) -> Corpus:
-    """Load a JSON Lines manifest into a Corpus.
+def parse_manifest(manifest_path):
+    """Yield, for each non-blank line of a JSON Lines manifest, either its
+    CorpusEntry or the QflakeError that rejects it, prefixed with
+    ``path:line``.
 
     Each record is ``{"id": ..., "path": ..., "label": "flaky"|"nonflaky",
     "repo": ...}`` with ``path`` relative to the manifest's directory.
-    Missing files, bad labels, duplicate ids, empty files, and non-UTF-8
-    files are all hard errors; silently skipping any of them would change
-    class counts invisibly.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise MissingFileError(f"manifest not found: {manifest_path}")
-    base = manifest_path.parent
-    entries = []
-    seen_ids = set()
-    for lineno, line in enumerate(
-        manifest_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    seen_ids: set[str] = set()
+    for lineno, line in enumerate(_decode(manifest_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BadLabelError(
-                f"{manifest_path}:{lineno}: invalid JSON ({exc})"
-            ) from None
-        entry_id = str(record["id"])
-        if entry_id in seen_ids:
-            raise DuplicateIdError(f"{manifest_path}:{lineno}: duplicate id {entry_id!r}")
-        seen_ids.add(entry_id)
-        label = _parse_label(record["label"])
-        file_path = base / record["path"]
-        if not file_path.exists():
-            raise MissingFileError(f"{manifest_path}:{lineno}: no such file {file_path}")
-        entries.append(
-            CorpusEntry(
-                id=entry_id,
-                path=str(file_path),
-                label=label,
-                repo=str(record.get("repo", "unknown")),
-                text=_read_text(file_path),
-            )
-        )
+            yield _parse_record(line, manifest_path.parent, seen_ids)
+        except QflakeError as exc:
+            yield type(exc)(f"{manifest_path}:{lineno}: {exc}")
+
+
+def load_manifest(manifest_path) -> Corpus:
+    """Load a JSON Lines manifest into a Corpus (see ``parse_manifest``).
+
+    The first bad record raises: missing files, bad labels, duplicate ids,
+    empty files, and non-UTF-8 files are all hard errors; silently
+    skipping any of them would change class counts invisibly.
+    """
+    entries = []
+    for item in parse_manifest(manifest_path):
+        if isinstance(item, QflakeError):
+            raise item
+        entries.append(item)
     return Corpus(tuple(entries))
 
 
@@ -199,54 +214,6 @@ def scan_tree(root) -> list[dict]:
                 }
             )
     return records
-
-
-def collect_manifest_issues(manifest_path) -> list[str]:
-    """Lenient validation pass: one diagnostic per bad record instead of
-    stopping at the first failure. Empty list means the manifest loads.
-    """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        return [f"manifest not found: {manifest_path}"]
-    base = manifest_path.parent
-    issues = []
-    seen_ids = set()
-    any_records = False
-    for lineno, line in enumerate(
-        manifest_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        any_records = True
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            issues.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        missing = [k for k in ("id", "path", "label") if k not in record]
-        if missing:
-            issues.append(f"line {lineno}: missing field(s) {missing}")
-            continue
-        entry_id = str(record["id"])
-        if entry_id in seen_ids:
-            issues.append(f"line {lineno}: duplicate id {entry_id!r}")
-        seen_ids.add(entry_id)
-        if record["label"] not in (l.value for l in CLASS_ORDER):
-            issues.append(f"line {lineno}: bad label {record['label']!r}")
-        file_path = base / record["path"]
-        if not file_path.exists():
-            issues.append(f"line {lineno}: no such file {file_path}")
-            continue
-        try:
-            text = file_path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError:
-            issues.append(f"line {lineno}: {file_path} is not valid UTF-8")
-            continue
-        if not text:
-            issues.append(f"line {lineno}: {file_path} is empty")
-    if not any_records:
-        issues.append("no entries")
-    return issues
 
 
 def write_manifest(records, manifest_path) -> None:

@@ -20,6 +20,10 @@ class BadLabelError(QflakeError):
     """A manifest record carries a label outside {flaky, nonflaky}."""
 
 
+class BadRecordError(QflakeError):
+    """A manifest line is not a JSON object with id, path and label."""
+
+
 class DuplicateIdError(QflakeError):
     """Two manifest records share the same id."""
 
@@ -56,6 +60,10 @@ class DimensionMismatchError(QflakeError):
 
 class NonFiniteMatrixError(QflakeError):
     """Matrix contains NaN or infinite entries."""
+
+
+class SvdNotConvergedError(QflakeError):
+    """The SVD failed to converge on both orientations of the matrix."""
 
 
 # resample --------------------------------------------------------------

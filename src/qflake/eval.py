@@ -1,4 +1,5 @@
-"""Metrics, threshold tuning, stratified cross-validation, and grid search.
+"""The pipeline fit, metrics, threshold tuning, stratified cross-validation,
+and grid search.
 
 The flaky class is the positive class throughout. Metrics whose
 denominator is zero are defined as 0 and flagged rather than propagating
@@ -22,16 +23,22 @@ from .errors import (
     EmptyMatrixError,
     LengthMismatchError,
 )
-from .linalg import pca_ceiling, pca_fit, pca_transform
+from .linalg import PcaModel, pca_ceiling, pca_fit, pca_transform
 from .resample import smote_resample
 from .seeding import STREAM_TUNE_SPLIT, derive_seed, rng_for
-from .text import fit_vocabulary, get_tokenizer_profile, tokenize, transform
+from .text import (
+    Vocabulary,
+    fit_vocabulary,
+    get_tokenizer_profile,
+    tokenize,
+    transform,
+)
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "mcc")
 
-THRESHOLD_GRID_LO = 0.1
-THRESHOLD_GRID_HI = 0.9
+THRESHOLD_GRID = tuple(round(0.1 + i * 0.1, 10) for i in range(9))
 TUNE_FRACTION = 0.2
+SMOTE_K = 5
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,9 @@ class ThresholdCurve:
         return self.f1_at(self.best_threshold)
 
 
-def tune_threshold(scores, y_true, grid_step: float = 0.1) -> ThresholdCurve:
-    """Sweep thresholds over [0.1, 0.9]; best = max F1, ties to the lowest
-    threshold. 0.5 is always a grid member at the default step.
+def tune_threshold(scores, y_true) -> ThresholdCurve:
+    """Sweep thresholds over 0.1, 0.2, ..., 0.9; best = max F1, ties to the
+    lowest threshold. 0.5 is always a grid member.
     """
     scores = np.asarray(scores, dtype=np.float64)
     y_true = np.asarray(y_true).astype(np.int8)
@@ -144,16 +151,10 @@ def tune_threshold(scores, y_true, grid_step: float = 0.1) -> ThresholdCurve:
         raise EmptyInputError("no scores to tune on")
     if scores.shape != y_true.shape:
         raise LengthMismatchError("scores and y_true differ in length")
-    span = THRESHOLD_GRID_HI - THRESHOLD_GRID_LO
-    steps = span / grid_step
-    if abs(steps - round(steps)) > 1e-9:
-        raise ConfigError(f"grid_step {grid_step} does not divide the span {span}")
-    n_points = int(round(steps)) + 1
     grid = []
     best_t = None
     best_f1 = -1.0
-    for i in range(n_points):
-        t = round(THRESHOLD_GRID_LO + i * grid_step, 10)
+    for t in THRESHOLD_GRID:
         report = compute_metrics(confusion(y_true, predict_labels(scores, t)))
         grid.append((t, report.f1))
         if report.f1 > best_f1:
@@ -168,7 +169,6 @@ class ThresholdPolicy:
 
     mode: str  # "fixed" | "tuned"
     value: float = 0.5
-    grid_step: float = 0.1
 
     def __post_init__(self):
         if self.mode not in ("fixed", "tuned"):
@@ -189,7 +189,6 @@ class PipelineConfig:
     hyperparameters: dict = field(hash=False)
     pca_components: int | None = None
     smote: bool = False
-    smote_k: int = 5
     threshold: ThresholdPolicy = ThresholdPolicy(mode="fixed")
     tokenizer: str = "default"
     fit_vocab_on_all: bool = False
@@ -263,42 +262,100 @@ class CrossValResult:
     aggregate: AggregateReport
 
 
-def _tuning_subset_positions(y_train: np.ndarray, seed: int, fold: int) -> np.ndarray:
-    """Seeded stratified ~20% of the training-fold rows, by position."""
+def _tuning_subset_positions(y_train: np.ndarray, seed: int, tag) -> np.ndarray:
+    """Seeded stratified ~20% of the training rows, by position."""
     picked = []
     for class_idx, label in enumerate((1, 0)):
         positions = np.flatnonzero(y_train == label)
         take = max(1, int(round(TUNE_FRACTION * len(positions))))
-        rng = rng_for(derive_seed(seed, "tune", fold), STREAM_TUNE_SPLIT, class_idx)
+        rng = rng_for(derive_seed(seed, "tune", tag), STREAM_TUNE_SPLIT, class_idx)
         order = rng.permutation(len(positions))
         picked.extend(positions[order[:take]])
     return np.sort(np.array(picked, dtype=np.int64))
 
 
-def _select_threshold(
-    config: PipelineConfig,
-    model,
-    X_train_counts,
-    y_train,
-    pca_model,
-    eval_scores,
-    y_eval,
-    seed: int,
-    fold: int,
-):
-    """Returns (threshold, curve or None) per the config's policy."""
-    policy = config.threshold
-    if policy.mode == "fixed":
-        return policy.value, None
-    if config.tune_on_eval_fold:
-        curve = tune_threshold(eval_scores, y_eval, policy.grid_step)
-        return curve.best_threshold, curve
-    positions = _tuning_subset_positions(y_train, seed, fold)
-    X_tune = X_train_counts[positions]
-    if pca_model is not None:
-        X_tune = pca_transform(pca_model, X_tune)
-    curve = tune_threshold(model.score(X_tune), y_train[positions], policy.grid_step)
-    return curve.best_threshold, curve
+@dataclass(frozen=True)
+class FittedPipeline:
+    """A trained vocabulary -> PCA -> model -> threshold chain.
+
+    Holds no training matrices: scoring vectorizes its own input.
+    """
+
+    vocabulary: Vocabulary
+    pca: PcaModel | None
+    model: object
+    threshold: float
+    curve: ThresholdCurve | None
+    pca_effective: int | None
+    smote_synthetic: int
+
+    def score(self, docs) -> np.ndarray:
+        """Flaky-class scores of tokenized documents."""
+        return self.score_counts(
+            transform(docs, self.vocabulary).counts.astype(np.float64)
+        )
+
+    def score_counts(self, X) -> np.ndarray:
+        """Flaky-class scores of count rows over this pipeline's vocabulary."""
+        if self.pca is not None:
+            X = pca_transform(self.pca, X)
+        return self.model.score(X)
+
+    def tuned(self, scores, y_true) -> "FittedPipeline":
+        """This pipeline with its threshold tuned on (scores, y_true)."""
+        curve = tune_threshold(scores, y_true)
+        return replace(self, threshold=curve.best_threshold, curve=curve)
+
+
+def fit_pipeline(
+    docs, y, config: PipelineConfig, seed: int, tag, vocab_docs=None
+) -> FittedPipeline:
+    """Fit vectorize -> SMOTE -> PCA -> model -> threshold on tokenized
+    training documents ``docs`` with labels ``y`` (1 = flaky).
+
+    The vocabulary is fitted on ``vocab_docs`` when given, else on
+    ``docs``. SMOTE always runs before PCA. Random streams derive from
+    (seed, stage, tag). A tuned threshold comes from a seeded stratified
+    20% of the pre-SMOTE training rows, unless ``tune_on_eval_fold``
+    leaves tuning to the caller's evaluation fold.
+    """
+    vocab = fit_vocabulary(docs if vocab_docs is None else vocab_docs)
+    X = transform(docs, vocab).counts.astype(np.float64)
+
+    X_fit, y_fit, smote_synthetic = X, y, 0
+    if config.smote:
+        resampled = smote_resample(X, y, SMOTE_K, seed=derive_seed(seed, "smote", tag))
+        X_fit, y_fit = resampled.X, resampled.y
+        smote_synthetic = resampled.n_synthetic
+
+    pca_model = None
+    pca_effective = None
+    X_model = X_fit
+    if config.pca_components is not None:
+        pca_effective = min(config.pca_components, pca_ceiling(*X_fit.shape))
+        pca_model = pca_fit(X_fit, pca_effective)
+        X_model = pca_transform(pca_model, X_fit)
+
+    model = train_model(
+        config.family,
+        X_model,
+        y_fit,
+        config.hyperparameters,
+        seed=derive_seed(seed, "model", tag),
+    )
+    fitted = FittedPipeline(
+        vocabulary=vocab,
+        pca=pca_model,
+        model=model,
+        threshold=config.threshold.value,
+        curve=None,
+        pca_effective=pca_effective,
+        smote_synthetic=smote_synthetic,
+    )
+    if config.threshold.mode == "tuned" and not config.tune_on_eval_fold:
+        positions = _tuning_subset_positions(y, seed, tag)
+        fitted = fitted.tuned(fitted.score_counts(X[positions]), y[positions])
+    return fitted
 
 
 def cross_validate(
@@ -306,79 +363,44 @@ def cross_validate(
 ) -> CrossValResult:
     """Stratified k-fold evaluation of one pipeline configuration.
 
-    Per fold: fit vocabulary (training folds only, unless configured
-    otherwise), vectorize, SMOTE the training rows when enabled, then fit
-    PCA on the (possibly resampled) training rows when enabled - SMOTE
-    always runs before PCA - train the model, score the held-out fold,
-    resolve the decision threshold, and compute metrics.
+    Per fold: ``fit_pipeline`` on the training folds (seed tag = fold
+    index; vocabulary from every fold when ``fit_vocab_on_all``), score the
+    held-out fold, tune the threshold on it when ``tune_on_eval_fold``,
+    and compute metrics.
     """
     folds = stratified_folds(corpus, n_folds, seed)
     tok_profile = get_tokenizer_profile(config.tokenizer)
     docs = {e.id: tokenize(e.text, tok_profile) for e in corpus}
     labels = {e.id: 1 if e.label.value == "flaky" else 0 for e in corpus}
     all_ids = corpus.ids()
+    vocab_docs = [docs[i] for i in all_ids] if config.fit_vocab_on_all else None
 
     fold_results = []
     for f in range(n_folds):
         train_ids = [i for i in all_ids if folds.assignment[i] != f]
         eval_ids = [i for i in all_ids if folds.assignment[i] == f]
-        vocab_ids = all_ids if config.fit_vocab_on_all else train_ids
-        vocab = fit_vocabulary([docs[i] for i in vocab_ids])
-        X_train = transform(
-            [docs[i] for i in train_ids], vocab, row_ids=train_ids
-        ).counts.astype(np.float64)
-        X_eval = transform(
-            [docs[i] for i in eval_ids], vocab, row_ids=eval_ids
-        ).counts.astype(np.float64)
         y_train = np.array([labels[i] for i in train_ids], dtype=np.int8)
         y_eval = np.array([labels[i] for i in eval_ids], dtype=np.int8)
-
-        smote_synthetic = 0
-        if config.smote:
-            resampled = smote_resample(
-                X_train, y_train, config.smote_k, seed=derive_seed(seed, "smote", f)
-            )
-            X_fit, y_fit = resampled.X, resampled.y
-            smote_synthetic = resampled.n_synthetic
-        else:
-            X_fit, y_fit = X_train, y_train
-
-        pca_model = None
-        pca_effective = None
-        X_fit_model = X_fit
-        X_eval_model = X_eval
-        if config.pca_components is not None:
-            ceiling = pca_ceiling(X_fit.shape[0], X_fit.shape[1])
-            pca_effective = min(config.pca_components, ceiling)
-            pca_model = pca_fit(X_fit, pca_effective)
-            X_fit_model = pca_transform(pca_model, X_fit)
-            X_eval_model = pca_transform(pca_model, X_eval)
-
-        model = train_model(
-            config.family,
-            X_fit_model,
-            y_fit,
-            config.hyperparameters,
-            seed=derive_seed(seed, "model", f),
+        fitted = fit_pipeline(
+            [docs[i] for i in train_ids], y_train, config, seed, f, vocab_docs
         )
-        eval_scores = model.score(X_eval_model)
-        threshold, curve = _select_threshold(
-            config, model, X_train, y_train, pca_model, eval_scores, y_eval, seed, f
-        )
-        cm = confusion(y_eval, predict_labels(eval_scores, threshold))
+        eval_scores = fitted.score([docs[i] for i in eval_ids])
+        if config.threshold.mode == "tuned" and config.tune_on_eval_fold:
+            fitted = fitted.tuned(eval_scores, y_eval)
+        cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
         fold_results.append(
             FoldResult(
                 fold=f,
                 report=compute_metrics(cm),
                 cm=cm,
-                threshold=threshold,
-                threshold_curve=curve,
+                threshold=fitted.threshold,
+                threshold_curve=fitted.curve,
                 n_train=len(train_ids),
                 n_eval=len(eval_ids),
-                vocab_size=len(vocab),
+                vocab_size=len(fitted.vocabulary),
                 pca_requested=config.pca_components,
-                pca_effective=pca_effective,
-                smote_synthetic=smote_synthetic,
+                pca_effective=fitted.pca_effective,
+                smote_synthetic=fitted.smote_synthetic,
             )
         )
     return CrossValResult(
@@ -395,7 +417,6 @@ class GridSearchResult:
     best_params: dict = field(hash=False)
     best_mean_f1: float
     results: tuple[tuple[dict, float], ...] = field(hash=False)
-    per_fold_choices: tuple[dict, ...] | None = None  # nested mode only
 
 
 def _config_for_point(base: PipelineConfig, point: dict) -> PipelineConfig:
@@ -435,51 +456,4 @@ def grid_search(
         best_params=grid[best_idx],
         best_mean_f1=best_f1,
         results=tuple(results),
-    )
-
-
-def nested_grid_search(
-    corpus: Corpus,
-    family: str,
-    param_grid,
-    n_folds: int = 5,
-    inner_folds: int = 3,
-    seed: int = 0,
-    base_config: PipelineConfig | None = None,
-) -> tuple[AggregateReport, GridSearchResult]:
-    """Nested CV: per outer fold, pick the grid point by inner-CV F1 on the
-    training portion, evaluate it on the outer fold, and aggregate. Gives
-    an honest estimate for tuned pipelines at extra cost.
-    """
-    grid = [dict(p) for p in param_grid]
-    if not grid:
-        raise EmptyGridError("parameter grid is empty")
-    base = base_config or PipelineConfig(family=family, hyperparameters={})
-    folds = stratified_folds(corpus, n_folds, seed)
-    all_ids = corpus.ids()
-    outer_reports = []
-    choices = []
-    for f in range(n_folds):
-        train_ids = [i for i in all_ids if folds.assignment[i] != f]
-        inner_corpus = corpus.subset(train_ids)
-        inner = grid_search(
-            inner_corpus,
-            family,
-            grid,
-            n_folds=inner_folds,
-            seed=derive_seed(seed, "nested", f),
-            base_config=base,
-        )
-        choices.append(inner.best_params)
-        config = _config_for_point(base, inner.best_params)
-        # evaluate the chosen point on this outer fold only
-        outcome = cross_validate(corpus, config, n_folds=n_folds, seed=seed)
-        outer_reports.append(outcome.folds[f].report)
-    aggregate = aggregate_reports(outer_reports)
-    flat = grid_search(corpus, family, grid, n_folds=n_folds, seed=seed, base_config=base)
-    return aggregate, GridSearchResult(
-        best_params=flat.best_params,
-        best_mean_f1=flat.best_mean_f1,
-        results=flat.results,
-        per_fold_choices=tuple(choices),
     )

@@ -151,8 +151,6 @@ class ExperimentConfig:
     tokenizer: str = "default"
     fit_vocab_on_all: bool = False
     tune_on_eval_fold: bool = False
-    cv_mode: str = "flat"  # grid searches: flat (replication) or nested
-    smote_k: int = 5
 
     def __post_init__(self):
         if self.dataset_mode not in DATASET_MODES:
@@ -164,8 +162,6 @@ class ExperimentConfig:
                 "the balanced dataset admits only the vanilla method; "
                 "imbalance remedies apply to the 1:5 set"
             )
-        if self.cv_mode not in ("flat", "nested"):
-            raise ConfigError("cv_mode must be 'flat' or 'nested'")
         unknown = [f for f in self.families if f not in FAMILIES]
         if unknown:
             raise ConfigError(f"unknown families: {unknown}")
@@ -204,7 +200,6 @@ def pipeline_config_for(method: str, family: str, config: ExperimentConfig) -> P
         tokenizer=config.tokenizer,
         fit_vocab_on_all=config.fit_vocab_on_all,
         tune_on_eval_fold=config.tune_on_eval_fold,
-        smote_k=config.smote_k,
     )
 
 
@@ -263,7 +258,6 @@ def run_configuration(corpus: Corpus, config: ExperimentConfig) -> ResultsTable:
         "tokenizer": config.tokenizer,
         "fit_vocab_on_all": config.fit_vocab_on_all,
         "tune_on_eval_fold": config.tune_on_eval_fold,
-        "cv_mode": config.cv_mode,
         "corpus_hash": corpus.content_hash(),
         "dataset_hash": data.content_hash(),
         "class_counts": {k.value: v for k, v in data.class_counts.items()},

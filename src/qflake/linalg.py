@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteMatrixError,
     RankTooSmallError,
+    SvdNotConvergedError,
 )
 
 
@@ -66,7 +67,19 @@ def pca_fit(X, k: int) -> PcaModel:
         )
     mean = X.mean(axis=0)
     centered = X - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    try:
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # LAPACK's SVD can fail to converge on one orientation of a matrix
+        # and converge on the other; the right singular vectors of A are
+        # the left singular vectors of A.T.
+        try:
+            u, s, _ = np.linalg.svd(centered.T, full_matrices=False)
+        except np.linalg.LinAlgError:
+            raise SvdNotConvergedError(
+                f"SVD did not converge on the centered {n}x{d} matrix or its transpose"
+            ) from None
+        vt = u.T
     components = vt[:k].copy()
     # sign convention: largest-|entry| of each axis made positive
     anchor = np.argmax(np.abs(components), axis=1)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qflake import cli, linalg
 from qflake.bundle import ModelBundle, train_bundle
 from qflake.eval import PipelineConfig, ThresholdPolicy
 
@@ -243,3 +244,50 @@ class TestCliEvaluateExperiment:
         assert outs[0].keys() == outs[1].keys()
         for name in outs[0]:
             assert outs[0][name] == outs[1][name], f"{name} differs between reruns"
+
+
+def _manifest_with(tmp_path, line):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    manifest = tmp_path / "m.jsonl"
+    good = {"id": "a", "path": "a.py", "label": "flaky", "repo": "r"}
+    manifest.write_text(json.dumps(good) + "\n" + line + "\n")
+    return ["evaluate", "--manifest", manifest, "--family", "dt"]
+
+
+def _bundle_with(tmp_path, text):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(text)
+    return ["predict", "--bundle", bundle, tmp_path / "a.py"]
+
+
+MALFORMED_INPUTS = {
+    "record-without-label": (_manifest_with, '{"id": "b", "path": "a.py"}'),
+    "record-is-json-array": (_manifest_with, '["b", "a.py", "flaky"]'),
+    "record-invalid-json": (_manifest_with, '{"id": "b", "path"'),
+    "bundle-not-json": (_bundle_with, "not json at all"),
+    "bundle-missing-keys": (_bundle_with, '{"format_version": 1}'),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_line(case, tmp_path):
+    build, payload = MALFORMED_INPUTS[case]
+    proc = run_cli(*build(tmp_path, payload))
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unconverged_svd_exits_3_with_one_line(tiny_manifest, tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(linalg.np.linalg, "svd", no_convergence)
+    code = cli.main([
+        "experiment", "--manifest", str(tiny_manifest), "--methods", "vanilla",
+        "--models", "knn", "--folds", "4", "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "SVD did not converge" in err

@@ -2,7 +2,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qflake.corpus import (
@@ -10,8 +10,8 @@ from qflake.corpus import (
     CorpusEntry,
     Label,
     SubsetMode,
-    collect_manifest_issues,
     load_manifest,
+    parse_manifest,
     scan_tree,
     select_subset,
     stratified_folds,
@@ -19,11 +19,13 @@ from qflake.corpus import (
 )
 from qflake.errors import (
     BadLabelError,
+    BadRecordError,
     DuplicateIdError,
     EmptyClassError,
     EmptyFileError,
     EncodingError,
     MissingFileError,
+    QflakeError,
     TooFewSamplesError,
 )
 
@@ -113,6 +115,23 @@ class TestLoadManifest:
         with pytest.raises(EncodingError):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "x", "path": "flaky_0.py", "repo": "r"}',
+            '["x", "flaky_0.py", "flaky"]',
+            '{"id": "x", "path": ',
+            '{"id": "x", "path": 3, "label": "flaky"}',
+        ],
+        ids=["missing-label", "array", "invalid-json", "non-string-path"],
+    )
+    def test_malformed_record(self, tmp_path, line):
+        manifest = write_corpus_files(tmp_path, simple_records(1, 1))
+        with manifest.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(BadRecordError, match=r"manifest\.jsonl:3: "):
+            load_manifest(manifest)
+
     def test_full_corpus_counts(self, corpus288):
         assert corpus288.class_counts == {Label.FLAKY: 45, Label.NONFLAKY: 243}
 
@@ -121,9 +140,50 @@ class TestLoadManifest:
         recs[0]["label"] = "maybe"
         recs[1]["id"] = recs[0]["id"]
         manifest = write_corpus_files(tmp_path, recs)
-        issues = collect_manifest_issues(manifest)
-        assert any("bad label" in i for i in issues)
-        assert any("duplicate id" in i for i in issues)
+        items = list(parse_manifest(manifest))
+        assert [type(i) for i in items] == [BadLabelError, DuplicateIdError]
+        assert str(items[0]).startswith(f"{manifest}:1: ")
+        assert str(items[1]).startswith(f"{manifest}:2: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+FIELD_VALUES = st.sampled_from(
+    ["ok.py", "gone.py", "empty.py", "latin1.py", "", ".", "flaky", "nonflaky"]
+) | JSON_VALUES
+RECORD_LINES = st.fixed_dictionaries(
+    {},
+    optional={k: FIELD_VALUES for k in ("id", "path", "label", "repo")},
+).map(json.dumps)
+MANIFEST_LINES = RECORD_LINES | JSON_VALUES.map(json.dumps) | st.text()
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("arbitrary_manifest")
+    (root / "ok.py").write_text("x = 1\n", encoding="utf-8")
+    (root / "empty.py").write_bytes(b"")
+    (root / "latin1.py").write_bytes(b"caf\xe9\n")
+    return root
+
+
+@settings(deadline=None, max_examples=300)
+@given(lines=st.lists(MANIFEST_LINES, max_size=6))
+@example(lines=['{"id": "a", "path": "\\ud800", "label": "flaky"}'])
+@example(lines=['{"id": "a", "path": "a\\u0000b", "label": "flaky"}'])
+@example(lines=["[" * 100000, "1" * 5000])
+def test_load_manifest_returns_corpus_or_raises_qflake_error(manifest_dir, lines):
+    manifest = manifest_dir / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        corpus = load_manifest(manifest)
+    except QflakeError:
+        return
+    assert isinstance(corpus, Corpus)
 
 
 class TestScanTree:

@@ -21,7 +21,6 @@ from qflake.eval import (
     confusion,
     cross_validate,
     grid_search,
-    nested_grid_search,
     tune_threshold,
 )
 
@@ -354,15 +353,3 @@ class TestGridSearch:
             seed=2,
         )
         assert "pca_components" in result.best_params
-
-    def test_nested_mode_reports_per_fold_choices(self, tiny_corpus):
-        aggregate, result = nested_grid_search(
-            tiny_corpus,
-            "dt",
-            [{"max_depth": 2}, {"max_depth": 6}],
-            n_folds=3,
-            inner_folds=2,
-            seed=4,
-        )
-        assert len(result.per_fold_choices) == 3
-        assert set(aggregate.mean) == {"accuracy", "precision", "recall", "f1", "mcc"}

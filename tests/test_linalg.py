@@ -6,7 +6,9 @@ from qflake.errors import (
     DimensionMismatchError,
     NonFiniteMatrixError,
     RankTooSmallError,
+    SvdNotConvergedError,
 )
+from qflake import linalg
 from qflake.linalg import (
     pca_ceiling,
     pca_fit,
@@ -86,6 +88,40 @@ class TestPcaFit:
         train_sizes = [288 - s for s in fold_sizes]
         ceilings = [pca_ceiling(n, 10_000) for n in train_sizes]
         assert max(ceilings) == 230
+
+
+def failing_svd(n_failures):
+    """np.linalg.svd that raises on its first ``n_failures`` calls."""
+    real_svd = np.linalg.svd
+    calls = []
+
+    def svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) <= n_failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    return svd, calls
+
+
+class TestSvdFallback:
+    def test_transposed_svd_matches_the_direct_path(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.poisson(1.0, size=(30, 45)).astype(np.float64)
+        direct = pca_fit(X, 12)
+        svd, calls = failing_svd(1)
+        monkeypatch.setattr(linalg.np.linalg, "svd", svd)
+        fallback = pca_fit(X, 12)
+        assert calls == [(30, 45), (45, 30)]
+        assert np.abs(fallback.components - direct.components).max() < 1e-10
+        assert np.abs(fallback.explained_variance - direct.explained_variance).max() < 1e-10
+        assert np.array_equal(fallback.mean, direct.mean)
+
+    def test_both_orientations_failing_raises_qflake_error(self, monkeypatch):
+        svd, _ = failing_svd(2)
+        monkeypatch.setattr(linalg.np.linalg, "svd", svd)
+        with pytest.raises(SvdNotConvergedError):
+            pca_fit(np.random.default_rng(1).normal(size=(6, 4)), 2)
 
 
 class TestPcaTransform:

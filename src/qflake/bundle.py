@@ -104,7 +104,13 @@ class ModelBundle:
     @classmethod
     def load(cls, path) -> "ModelBundle":
         try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(
+                f"{path}: cannot read model bundle ({exc.strerror or exc})"
+            ) from None
+        try:
+            return cls.from_dict(json.loads(text))
         except QflakeError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -138,7 +144,7 @@ def train_bundle(corpus: Corpus, config: PipelineConfig, seed: int = 0) -> Model
     """
     profile = get_tokenizer_profile(config.tokenizer)
     docs = [tokenize(e.text, profile) for e in corpus]
-    fitted = fit_pipeline(
+    (fitted,) = fit_pipeline(
         docs, corpus.labels(), replace(config, tune_on_eval_fold=False), seed, "full"
     )
     metadata = {

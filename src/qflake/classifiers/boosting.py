@@ -75,9 +75,13 @@ def grow_newton_tree(X, g, h, max_depth, lam=_LAMBDA, sorted_idx=None) -> TreeNo
         best = 0.5 * (best_raw - g_sum**2 / (h_sum + lam))
         if not np.isfinite(best) or best <= 0.0:
             return leaf
-        # first max over gain.T scans feature-major: lowest feature wins,
-        # then lowest threshold
-        j, b = np.unravel_index(np.argmax(gain.T), (gain.shape[1], gain.shape[0]))
+        # Splits into the same two row sets can differ in the last ulp, as
+        # each column sums its rows in its own order: gains within
+        # 1e-9*max(1,|best|) of the best tie (raw gains are twice the
+        # gains). The first tie over gain.T scans feature-major: lowest
+        # feature wins, then lowest threshold.
+        tied = gain.T >= best_raw - 2e-9 * max(1.0, abs(best))
+        j, b = np.unravel_index(np.argmax(tied), tied.shape)
         threshold = 0.5 * (sv[b, j] + sv[b + 1, j])
 
         # every column of s_idx holds the same row set, so each column has

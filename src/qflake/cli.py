@@ -27,7 +27,7 @@ from .corpus import (
     select_subset,
     write_manifest,
 )
-from .errors import ConfigError, QflakeError
+from .errors import ConfigError, EmptyClassError, QflakeError, TooFewSamplesError
 from .eval import (
     METRIC_NAMES,
     PipelineConfig,
@@ -40,6 +40,10 @@ from .text import TOKENIZER_PROFILES
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+
+# Raised while a run selects its subset and folds: invalid input data or
+# settings, so they pass the runtime-failure handlers and exit 2.
+_INVALID_RUN = (ConfigError, EmptyClassError, TooFewSamplesError)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -315,6 +319,8 @@ def cmd_evaluate(args, file_config: dict) -> int:
     data = select_subset(corpus, SubsetMode(dataset), seed)
     try:
         result = cross_validate(data, config, n_folds=n_folds, seed=seed)
+    except _INVALID_RUN:
+        raise
     except QflakeError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -391,6 +397,8 @@ def cmd_experiment(args, file_config: dict) -> int:
             fit_vocab_on_all=fit_all,
             tune_on_eval_fold=tune_eval,
         )
+    except _INVALID_RUN:
+        raise
     except QflakeError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

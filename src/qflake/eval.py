@@ -308,17 +308,21 @@ class FittedPipeline:
 
 
 def fit_pipeline(
-    docs, y, config: PipelineConfig, seed: int, tag, vocab_docs=None
-) -> FittedPipeline:
+    docs, y, config: PipelineConfig, seed: int, tag, vocab_docs=None, policies=None
+) -> tuple[FittedPipeline, ...]:
     """Fit vectorize -> SMOTE -> PCA -> model -> threshold on tokenized
     training documents ``docs`` with labels ``y`` (1 = flaky).
 
     The vocabulary is fitted on ``vocab_docs`` when given, else on
     ``docs``. SMOTE always runs before PCA. Random streams derive from
-    (seed, stage, tag). A tuned threshold comes from a seeded stratified
-    20% of the pre-SMOTE training rows, unless ``tune_on_eval_fold``
+    (seed, stage, tag). Returns one pipeline per threshold policy in
+    ``policies`` (default: ``config.threshold`` alone), all sharing one
+    vocabulary, PCA and model. A fixed policy keeps its value. A tuned
+    one is tuned on a seeded stratified 20% of the pre-SMOTE training
+    rows, scored once for every tuned policy, unless ``tune_on_eval_fold``
     leaves tuning to the caller's evaluation fold.
     """
+    policies = (config.threshold,) if policies is None else tuple(policies)
     vocab = fit_vocabulary(docs if vocab_docs is None else vocab_docs)
     X = transform(docs, vocab).counts.astype(np.float64)
 
@@ -347,27 +351,39 @@ def fit_pipeline(
         vocabulary=vocab,
         pca=pca_model,
         model=model,
-        threshold=config.threshold.value,
+        threshold=0.5,
         curve=None,
         pca_effective=pca_effective,
         smote_synthetic=smote_synthetic,
     )
-    if config.threshold.mode == "tuned" and not config.tune_on_eval_fold:
-        positions = _tuning_subset_positions(y, seed, tag)
-        fitted = fitted.tuned(fitted.score_counts(X[positions]), y[positions])
-    return fitted
+    tuning_set = None
+    pipelines = []
+    for policy in policies:
+        if policy.mode == "tuned" and not config.tune_on_eval_fold:
+            if tuning_set is None:
+                positions = _tuning_subset_positions(y, seed, tag)
+                tuning_set = (fitted.score_counts(X[positions]), y[positions])
+            pipelines.append(fitted.tuned(*tuning_set))
+        else:
+            pipelines.append(replace(fitted, threshold=policy.value))
+    return tuple(pipelines)
 
 
-def cross_validate(
-    corpus: Corpus, config: PipelineConfig, n_folds: int = 5, seed: int = 0
-) -> CrossValResult:
-    """Stratified k-fold evaluation of one pipeline configuration.
+def cross_validate_policies(
+    corpus: Corpus, config: PipelineConfig, policies, n_folds: int = 5, seed: int = 0
+) -> tuple[CrossValResult, ...]:
+    """Stratified k-fold evaluation of one pipeline under several threshold
+    policies; ``config.threshold`` is ignored.
 
-    Per fold: ``fit_pipeline`` on the training folds (seed tag = fold
-    index; vocabulary from every fold when ``fit_vocab_on_all``), score the
-    held-out fold, tune the threshold on it when ``tune_on_eval_fold``,
-    and compute metrics.
+    Per fold: one ``fit_pipeline`` on the training folds (seed tag = fold
+    index; vocabulary from every fold when ``fit_vocab_on_all``) and one
+    scoring of the held-out fold. Each policy then takes its threshold:
+    fixed, tuned on the inner training split, or tuned on the held-out
+    fold when ``tune_on_eval_fold``. The policies share every model, so
+    result i equals ``cross_validate`` of the config with policy i. Each
+    fold's model is freed before the next one is fitted.
     """
+    policies = tuple(policies)
     folds = stratified_folds(corpus, n_folds, seed)
     tok_profile = get_tokenizer_profile(config.tokenizer)
     docs = {e.id: tokenize(e.text, tok_profile) for e in corpus}
@@ -375,41 +391,58 @@ def cross_validate(
     all_ids = corpus.ids()
     vocab_docs = [docs[i] for i in all_ids] if config.fit_vocab_on_all else None
 
-    fold_results = []
+    fold_results = tuple([] for _ in policies)
     for f in range(n_folds):
         train_ids = [i for i in all_ids if folds.assignment[i] != f]
         eval_ids = [i for i in all_ids if folds.assignment[i] == f]
         y_train = np.array([labels[i] for i in train_ids], dtype=np.int8)
         y_eval = np.array([labels[i] for i in eval_ids], dtype=np.int8)
-        fitted = fit_pipeline(
-            [docs[i] for i in train_ids], y_train, config, seed, f, vocab_docs
+        pipelines = fit_pipeline(
+            [docs[i] for i in train_ids], y_train, config, seed, f, vocab_docs, policies
         )
-        eval_scores = fitted.score([docs[i] for i in eval_ids])
-        if config.threshold.mode == "tuned" and config.tune_on_eval_fold:
-            fitted = fitted.tuned(eval_scores, y_eval)
-        cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
-        fold_results.append(
-            FoldResult(
-                fold=f,
-                report=compute_metrics(cm),
-                cm=cm,
-                threshold=fitted.threshold,
-                threshold_curve=fitted.curve,
-                n_train=len(train_ids),
-                n_eval=len(eval_ids),
-                vocab_size=len(fitted.vocabulary),
-                pca_requested=config.pca_components,
-                pca_effective=fitted.pca_effective,
-                smote_synthetic=fitted.smote_synthetic,
+        eval_scores = pipelines[0].score([docs[i] for i in eval_ids])
+        for results, policy, fitted in zip(fold_results, policies, pipelines):
+            if policy.mode == "tuned" and config.tune_on_eval_fold:
+                fitted = fitted.tuned(eval_scores, y_eval)
+            cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
+            results.append(
+                FoldResult(
+                    fold=f,
+                    report=compute_metrics(cm),
+                    cm=cm,
+                    threshold=fitted.threshold,
+                    threshold_curve=fitted.curve,
+                    n_train=len(train_ids),
+                    n_eval=len(eval_ids),
+                    vocab_size=len(fitted.vocabulary),
+                    pca_requested=config.pca_components,
+                    pca_effective=fitted.pca_effective,
+                    smote_synthetic=fitted.smote_synthetic,
+                )
             )
+        del pipelines, fitted
+    return tuple(
+        CrossValResult(
+            config=replace(config, threshold=policy),
+            n_folds=n_folds,
+            seed=seed,
+            folds=tuple(results),
+            aggregate=aggregate_reports([fr.report for fr in results]),
         )
-    return CrossValResult(
-        config=config,
-        n_folds=n_folds,
-        seed=seed,
-        folds=tuple(fold_results),
-        aggregate=aggregate_reports([fr.report for fr in fold_results]),
+        for policy, results in zip(policies, fold_results)
     )
+
+
+def cross_validate(
+    corpus: Corpus, config: PipelineConfig, n_folds: int = 5, seed: int = 0
+) -> CrossValResult:
+    """Stratified k-fold evaluation of one pipeline configuration: the
+    one-policy case of ``cross_validate_policies``.
+    """
+    (result,) = cross_validate_policies(
+        corpus, config, (config.threshold,), n_folds=n_folds, seed=seed
+    )
+    return result
 
 
 @dataclass(frozen=True)

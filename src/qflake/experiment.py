@@ -20,7 +20,7 @@ from .eval import (
     CrossValResult,
     PipelineConfig,
     ThresholdPolicy,
-    cross_validate,
+    cross_validate_policies,
 )
 from .classifiers import FAMILIES
 
@@ -240,24 +240,50 @@ def run_configuration(corpus: Corpus, config: ExperimentConfig) -> ResultsTable:
     The whole table is built before anything is returned; a failure in any
     cell aborts the run rather than emitting a partial table.
     """
-    if config.dataset_mode == "balanced":
-        data = select_subset(corpus, SubsetMode.BALANCED, config.seed)
-    else:
-        data = select_subset(corpus, SubsetMode.IMBALANCED, config.seed)
-    rows = []
-    for family in config.families:
-        pipeline = pipeline_config_for(config.method, family, config)
-        outcome = cross_validate(data, pipeline, n_folds=config.n_folds, seed=config.seed)
-        rows.append(_row_from_outcome(config.dataset_mode, config.method, family, outcome))
+    return _run_methods(corpus, (config,))
+
+
+def _run_methods(corpus: Corpus, configs: tuple[ExperimentConfig, ...]) -> ResultsTable:
+    """The table of ``configs``, which differ only in method: rows methods
+    outer, families inner, metadata as ``run_configuration`` gives it with
+    every method listed.
+
+    Methods that share a profile and SMOTE setting (vanilla and threshold;
+    smote and hybrid) differ only in the threshold policy, so per family
+    they share one ``cross_validate_policies`` walk: the tuned rows reuse
+    the untuned rows' fold fits.
+    """
+    base = configs[0]
+    data = select_subset(corpus, SubsetMode(base.dataset_mode), base.seed)
+    walks: dict[tuple, list[str]] = {}
+    for c in configs:
+        walks.setdefault(_METHOD_WIRING[c.method][:2], []).append(c.method)
+    outcomes = {}
+    for family in base.families:
+        for methods in walks.values():
+            policies = [pipeline_config_for(m, family, base).threshold for m in methods]
+            results = cross_validate_policies(
+                data,
+                pipeline_config_for(methods[0], family, base),
+                policies,
+                n_folds=base.n_folds,
+                seed=base.seed,
+            )
+            outcomes.update(((m, family), r) for m, r in zip(methods, results))
+    rows = [
+        _row_from_outcome(base.dataset_mode, c.method, family, outcomes[c.method, family])
+        for c in configs
+        for family in base.families
+    ]
     metadata = {
-        "dataset_mode": config.dataset_mode,
-        "methods": [config.method],
-        "families": list(config.families),
-        "seed": config.seed,
-        "n_folds": config.n_folds,
-        "tokenizer": config.tokenizer,
-        "fit_vocab_on_all": config.fit_vocab_on_all,
-        "tune_on_eval_fold": config.tune_on_eval_fold,
+        "dataset_mode": base.dataset_mode,
+        "methods": [c.method for c in configs],
+        "families": list(base.families),
+        "seed": base.seed,
+        "n_folds": base.n_folds,
+        "tokenizer": base.tokenizer,
+        "fit_vocab_on_all": base.fit_vocab_on_all,
+        "tune_on_eval_fold": base.tune_on_eval_fold,
         "corpus_hash": corpus.content_hash(),
         "dataset_hash": data.content_hash(),
         "class_counts": {k.value: v for k, v in data.class_counts.items()},
@@ -282,41 +308,25 @@ def run_paper_suite(
     vanilla out of ``methods`` drops the balanced table, which only ever
     runs vanilla.
     """
+    if not methods:
+        raise ConfigError("no methods requested")
+    settings = dict(
+        families=families,
+        seed=seed,
+        n_folds=n_folds,
+        tokenizer=tokenizer,
+        fit_vocab_on_all=fit_vocab_on_all,
+        tune_on_eval_fold=tune_on_eval_fold,
+    )
     tables = {}
     if "vanilla" in methods:
         tables["table_balanced"] = run_configuration(
-            corpus,
-            ExperimentConfig(
-                dataset_mode="balanced",
-                method="vanilla",
-                families=families,
-                seed=seed,
-                n_folds=n_folds,
-                tokenizer=tokenizer,
-                fit_vocab_on_all=fit_vocab_on_all,
-                tune_on_eval_fold=tune_on_eval_fold,
-            ),
+            corpus, ExperimentConfig(dataset_mode="balanced", method="vanilla", **settings)
         )
-    imb_rows = []
-    imb_meta = None
-    for method in methods:
-        table = run_configuration(
-            corpus,
-            ExperimentConfig(
-                dataset_mode="imbalanced",
-                method=method,
-                families=families,
-                seed=seed,
-                n_folds=n_folds,
-                tokenizer=tokenizer,
-                fit_vocab_on_all=fit_vocab_on_all,
-                tune_on_eval_fold=tune_on_eval_fold,
-            ),
-        )
-        imb_rows.extend(table.rows)
-        imb_meta = dict(table.metadata)
-    imb_meta["methods"] = list(methods)
-    tables["table_imbalanced"] = ResultsTable(rows=tuple(imb_rows), metadata=imb_meta)
+    tables["table_imbalanced"] = _run_methods(
+        corpus,
+        tuple(ExperimentConfig(dataset_mode="imbalanced", method=m, **settings) for m in methods),
+    )
     return tables
 
 

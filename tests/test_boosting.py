@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qflake.classifiers import sigmoid, train_gbt
+from qflake.classifiers.boosting import grow_newton_tree
 from qflake.classifiers.tree import tree_depth, tree_predict_value
 from qflake.errors import DimensionMismatchError, SpecInvalidError
 
@@ -47,6 +48,26 @@ class TestGradientBoosting:
         )
         assert "degenerate_labels" in model.flags
         assert np.allclose(model.score(np.array([[99.0]])), 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 10, 13])
+    def test_equal_partitions_tie_to_lowest_feature(self, seed):
+        """Both columns split the rows into the same two sets, holding
+        different values in a different order within each side, so each
+        column sums the same gradients in its own order and the two gains
+        can differ in the last ulp. Feature 0 must win either way.
+        """
+        rng = np.random.default_rng(seed)
+        n = 30
+        k = int(rng.integers(5, n - 4))
+        g = np.concatenate([rng.uniform(-1, -0.2, k), rng.uniform(0.2, 1, n - k)])
+        h = rng.uniform(0.05, 0.25, n)
+        X = np.empty((n, 2))
+        for j in range(2):
+            X[:k, j] = rng.permutation(k)
+            X[k:, j] = k + rng.permutation(n - k)
+        tree = grow_newton_tree(X, g, h, max_depth=1)
+        assert tree.threshold == k - 0.5
+        assert tree.feature == 0
 
     def test_depth_cap(self):
         rng = np.random.default_rng(12)

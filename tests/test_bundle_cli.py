@@ -261,12 +261,43 @@ def _bundle_with(tmp_path, text):
     return ["predict", "--bundle", bundle, tmp_path / "a.py"]
 
 
+def _bundle_at(tmp_path, name):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "a_directory").mkdir()
+    return ["predict", "--bundle", tmp_path / name, tmp_path / "a.py"]
+
+
+def _labelled_manifest(tmp_path, labels):
+    records = []
+    for i, label in enumerate(labels):
+        (tmp_path / f"t{i}.py").write_text(f"x = {i}\n")
+        records.append({"id": f"t{i}", "path": f"t{i}.py", "label": label, "repo": "r"})
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return manifest
+
+
+def _experiment_on(tmp_path, labels):
+    manifest = _labelled_manifest(tmp_path, labels)
+    return ["experiment", "--manifest", manifest, "--out", tmp_path / "out"]
+
+
+def _evaluate_in_folds(tmp_path, folds):
+    manifest = _labelled_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 4)
+    return ["evaluate", "--manifest", manifest, "--family", "dt", "--folds", folds]
+
+
 MALFORMED_INPUTS = {
     "record-without-label": (_manifest_with, '{"id": "b", "path": "a.py"}'),
     "record-is-json-array": (_manifest_with, '["b", "a.py", "flaky"]'),
     "record-invalid-json": (_manifest_with, '{"id": "b", "path"'),
     "bundle-not-json": (_bundle_with, "not json at all"),
     "bundle-missing-keys": (_bundle_with, '{"format_version": 1}'),
+    "bundle-missing-file": (_bundle_at, "missing.json"),
+    "bundle-unreadable": (_bundle_at, "a_directory"),
+    "experiment-empty-manifest": (_experiment_on, []),
+    "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
+    "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),
 }
 
 

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from qflake import eval as eval_mod, experiment
+from qflake.corpus import SubsetMode, select_subset
 from qflake.errors import ConfigError
 from qflake.eval import PipelineConfig, ThresholdPolicy, cross_validate
 from qflake.experiment import (
@@ -152,6 +154,59 @@ class TestWiringEquivalences:
 
 
 class TestSuite:
+    @pytest.mark.parametrize(
+        "flags", [{}, {"tune_on_eval_fold": True}, {"fit_vocab_on_all": True}]
+    )
+    def test_rows_equal_cross_validation_alone(self, tiny_corpus, monkeypatch, flags):
+        """Every suite row, balanced and imbalanced, equals ``cross_validate``
+        run alone on its (method, family): means, stds and every fold,
+        confusion matrices included.
+        """
+        walked = {}
+        real = experiment.cross_validate_policies
+
+        def recording(data, config, policies, **kwargs):
+            results = real(data, config, policies, **kwargs)
+            for r in results:
+                key = (data.content_hash(), r.config.profile_name, r.config.smote,
+                       r.config.family, r.config.threshold.mode)
+                walked[key] = r
+            return results
+
+        monkeypatch.setattr(experiment, "cross_validate_policies", recording)
+        tables = run_paper_suite(tiny_corpus, seed=5, n_folds=4, **flags)
+        rows = tables["table_balanced"].rows + tables["table_imbalanced"].rows
+        assert len(rows) == 25
+        for row in rows:
+            config = ExperimentConfig(row.dataset_mode, row.method, seed=5, n_folds=4, **flags)
+            data = select_subset(tiny_corpus, SubsetMode(row.dataset_mode), 5)
+            pipeline = pipeline_config_for(row.method, row.family, config)
+            alone = cross_validate(data, pipeline, n_folds=4, seed=5)
+            assert row.mean == alone.aggregate.mean
+            assert row.std == alone.aggregate.std
+            key = (data.content_hash(), pipeline.profile_name, pipeline.smote,
+                   row.family, pipeline.threshold.mode)
+            assert [fr.cm for fr in walked[key].folds] == [fr.cm for fr in alone.folds]
+            assert walked[key] == alone
+
+    def test_default_suite_trains_each_model_once(self, tiny_corpus, monkeypatch):
+        """15 distinct models per fold: 5 balanced vanilla, 5 imbalanced
+        vanilla (shared with threshold), 5 imbalanced SMOTE (shared with
+        hybrid).
+        """
+        keys = []
+        real = eval_mod.train_model
+
+        def counting(family, X, y, hyperparameters, seed):
+            keys.append((family, X.tobytes(), y.tobytes(),
+                         json.dumps(hyperparameters, sort_keys=True), seed))
+            return real(family, X, y, hyperparameters, seed=seed)
+
+        monkeypatch.setattr(eval_mod, "train_model", counting)
+        run_paper_suite(tiny_corpus, seed=5, n_folds=4)
+        assert len(keys) == 15 * 4
+        assert len(set(keys)) == len(keys)
+
     def test_tiny_suite_shape_and_rendering(self, tiny_corpus, tmp_path):
         tables = run_paper_suite(tiny_corpus, seed=5, n_folds=4)
         assert len(tables["table_balanced"].rows) == 5
@@ -164,6 +219,10 @@ class TestSuite:
         run = json.loads((out / "run.json").read_text())
         assert run["config"]["seed"] == 5
         assert len(run["tables"]["table_imbalanced"]["rows"]) == 20
+
+    def test_no_methods_rejected(self, tiny_corpus):
+        with pytest.raises(ConfigError):
+            run_paper_suite(tiny_corpus, seed=5, n_folds=4, methods=())
 
     def test_method_filter_drops_balanced_table(self, tiny_corpus):
         tables = run_paper_suite(

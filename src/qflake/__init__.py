@@ -32,12 +32,7 @@ from .eval import (
     grid_search,
     tune_threshold,
 )
-from .experiment import (
-    ExperimentConfig,
-    ResultsTable,
-    run_configuration,
-    run_paper_suite,
-)
+from .experiment import ResultsTable, run_paper_suite
 from .linalg import PcaModel, pca_fit, pca_inverse_transform, pca_transform
 from .resample import ResampledSet, smote_resample
 from .synthetic import generate_corpus

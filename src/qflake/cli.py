@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .bundle import ModelBundle, train_bundle
-from .classifiers import FAMILIES, get_profile
+from .classifiers import FAMILIES, PROFILE_NAMES, get_profile
 from .corpus import (
     Corpus,
     Label,
@@ -27,7 +27,14 @@ from .corpus import (
     select_subset,
     write_manifest,
 )
-from .errors import ConfigError, EmptyClassError, QflakeError, TooFewSamplesError
+from .errors import (
+    ConfigError,
+    EmptyClassError,
+    EmptyVocabularyError,
+    QflakeError,
+    SpecInvalidError,
+    TooFewSamplesError,
+)
 from .eval import (
     METRIC_NAMES,
     PipelineConfig,
@@ -41,9 +48,44 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-# Raised while a run selects its subset and folds: invalid input data or
-# settings, so they pass the runtime-failure handlers and exit 2.
-_INVALID_RUN = (ConfigError, EmptyClassError, TooFewSamplesError)
+# Raised by invalid input data or settings while a run selects its subset
+# and folds, fits its vocabulary or checks its hyperparameters, so they
+# pass the runtime-failure handlers and exit 2.
+_INVALID_RUN = (
+    ConfigError,
+    EmptyClassError,
+    EmptyVocabularyError,
+    SpecInvalidError,
+    TooFewSamplesError,
+)
+
+_DATASETS = tuple(m.value for m in SubsetMode)
+
+# --config file keys: (type, admitted values or None). A list value must
+# hold admitted values only. Every value is checked before any is used.
+_FILE_KEYS = {
+    "seed": (int, None),
+    "folds": (int, None),
+    "pca": ((int, str), None),
+    "profile": (str, PROFILE_NAMES),
+    "tokenizer": (str, tuple(sorted(TOKENIZER_PROFILES))),
+    "dataset": (str, _DATASETS),
+    "methods": (list, METHODS),
+    "models": (list, FAMILIES),
+    "hyperparameters": (dict, None),
+    "smote": (bool, None),
+    "tune_threshold": (bool, None),
+    "replicate_paper_vectorization": (bool, None),
+    "replicate_paper_threshold": (bool, None),
+}
+_TYPE_NAMES = {
+    int: "an integer",
+    (int, str): "an integer or 'none'",
+    str: "a string",
+    list: "a list of values",
+    dict: "a JSON object",
+    bool: "true or false",
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -102,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca", default=None)
     p.add_argument("--tune-threshold", action="store_true", default=None)
     p.add_argument("--tokenizer", choices=sorted(TOKENIZER_PROFILES), default=None)
-    p.add_argument("--dataset", choices=("balanced", "imbalanced", "all"), default=None)
+    p.add_argument("--dataset", choices=_DATASETS, default=None)
     p.add_argument("--folds", type=int, default=None)
     _add_common(p)
 
@@ -129,6 +171,17 @@ def _load_config_file(path: Path | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    for key, (kind, choices) in _FILE_KEYS.items():
+        if key not in loaded:
+            continue
+        value = loaded[key]
+        # bool is an int subclass; JSON true is no seed or fold count
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+        if ok and choices is not None:
+            ok = all(v in choices for v in (value if kind is list else [value]))
+        if not ok:
+            expected = _TYPE_NAMES[kind] + (f" from {list(choices)}" if choices else "")
+            raise ConfigError(f"config file {path}: {key!r} must be {expected}, got {value!r}")
     return loaded
 
 
@@ -255,6 +308,8 @@ def cmd_train(args, file_config: dict) -> int:
         raise ConfigError("train: --out BUNDLE_PATH is required")
     try:
         bundle = train_bundle(corpus, config, seed=seed)
+    except _INVALID_RUN:
+        raise
     except QflakeError as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

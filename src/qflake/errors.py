@@ -108,6 +108,10 @@ class EmptyGridError(QflakeError):
     """Grid search received an empty parameter grid."""
 
 
+class EmptyVocabularyError(QflakeError):
+    """The training documents hold no token, so there is nothing to fit."""
+
+
 # experiment / cli ------------------------------------------------------
 
 class ConfigError(QflakeError):

@@ -21,6 +21,7 @@ from .errors import (
     EmptyGridError,
     EmptyInputError,
     EmptyMatrixError,
+    EmptyVocabularyError,
     LengthMismatchError,
 )
 from .linalg import PcaModel, pca_ceiling, pca_fit, pca_transform
@@ -324,6 +325,11 @@ def fit_pipeline(
     """
     policies = (config.threshold,) if policies is None else tuple(policies)
     vocab = fit_vocabulary(docs if vocab_docs is None else vocab_docs)
+    if not len(vocab):
+        raise EmptyVocabularyError(
+            f"empty vocabulary: the {config.tokenizer!r} tokenizer finds no token "
+            "in the training documents"
+        )
     X = transform(docs, vocab).counts.astype(np.float64)
 
     X_fit, y_fit, smote_synthetic = X, y, 0
@@ -369,67 +375,75 @@ def fit_pipeline(
     return tuple(pipelines)
 
 
-def cross_validate_policies(
-    corpus: Corpus, config: PipelineConfig, policies, n_folds: int = 5, seed: int = 0
+def cross_validate_all(
+    corpus: Corpus, configs, n_folds: int = 5, seed: int = 0
 ) -> tuple[CrossValResult, ...]:
-    """Stratified k-fold evaluation of one pipeline under several threshold
-    policies; ``config.threshold`` is ignored.
+    """Stratified k-fold evaluation of several pipeline configurations on
+    the same folds; result i equals ``cross_validate(configs[i])`` run alone.
 
-    Per fold: one ``fit_pipeline`` on the training folds (seed tag = fold
-    index; vocabulary from every fold when ``fit_vocab_on_all``) and one
-    scoring of the held-out fold. Each policy then takes its threshold:
-    fixed, tuned on the inner training split, or tuned on the held-out
-    fold when ``tune_on_eval_fold``. The policies share every model, so
-    result i equals ``cross_validate`` of the config with policy i. Each
-    fold's model is freed before the next one is fitted.
+    Each document is tokenized once per tokenizer profile. Configs that
+    differ only in threshold policy share one model per fold: one
+    ``fit_pipeline`` on the training folds (seed tag = fold index;
+    vocabulary from every fold when ``fit_vocab_on_all``) and one scoring
+    of the held-out fold. Each policy then takes its threshold: fixed,
+    tuned on the inner training split, or tuned on the held-out fold when
+    ``tune_on_eval_fold``. Each model is freed before the next is fitted.
     """
-    policies = tuple(policies)
+    configs = tuple(configs)
     folds = stratified_folds(corpus, n_folds, seed)
-    tok_profile = get_tokenizer_profile(config.tokenizer)
-    docs = {e.id: tokenize(e.text, tok_profile) for e in corpus}
-    labels = {e.id: 1 if e.label.value == "flaky" else 0 for e in corpus}
     all_ids = corpus.ids()
-    vocab_docs = [docs[i] for i in all_ids] if config.fit_vocab_on_all else None
+    labels = {e.id: 1 if e.label.value == "flaky" else 0 for e in corpus}
+    docs = {}
+    for name in dict.fromkeys(c.tokenizer for c in configs):
+        profile = get_tokenizer_profile(name)
+        docs[name] = {e.id: tokenize(e.text, profile) for e in corpus}
+    groups: dict[PipelineConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(replace(config, threshold=ThresholdPolicy("fixed")), []).append(i)
 
-    fold_results = tuple([] for _ in policies)
+    fold_results = tuple([] for _ in configs)
     for f in range(n_folds):
         train_ids = [i for i in all_ids if folds.assignment[i] != f]
         eval_ids = [i for i in all_ids if folds.assignment[i] == f]
         y_train = np.array([labels[i] for i in train_ids], dtype=np.int8)
         y_eval = np.array([labels[i] for i in eval_ids], dtype=np.int8)
-        pipelines = fit_pipeline(
-            [docs[i] for i in train_ids], y_train, config, seed, f, vocab_docs, policies
-        )
-        eval_scores = pipelines[0].score([docs[i] for i in eval_ids])
-        for results, policy, fitted in zip(fold_results, policies, pipelines):
-            if policy.mode == "tuned" and config.tune_on_eval_fold:
-                fitted = fitted.tuned(eval_scores, y_eval)
-            cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
-            results.append(
-                FoldResult(
-                    fold=f,
-                    report=compute_metrics(cm),
-                    cm=cm,
-                    threshold=fitted.threshold,
-                    threshold_curve=fitted.curve,
-                    n_train=len(train_ids),
-                    n_eval=len(eval_ids),
-                    vocab_size=len(fitted.vocabulary),
-                    pca_requested=config.pca_components,
-                    pca_effective=fitted.pca_effective,
-                    smote_synthetic=fitted.smote_synthetic,
-                )
+        for config, members in groups.items():
+            tokens = docs[config.tokenizer]
+            vocab_docs = [tokens[i] for i in all_ids] if config.fit_vocab_on_all else None
+            pipelines = fit_pipeline(
+                [tokens[i] for i in train_ids], y_train, config, seed, f, vocab_docs,
+                [configs[i].threshold for i in members],
             )
-        del pipelines, fitted
+            eval_scores = pipelines[0].score([tokens[i] for i in eval_ids])
+            for i, fitted in zip(members, pipelines):
+                if configs[i].threshold.mode == "tuned" and config.tune_on_eval_fold:
+                    fitted = fitted.tuned(eval_scores, y_eval)
+                cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
+                fold_results[i].append(
+                    FoldResult(
+                        fold=f,
+                        report=compute_metrics(cm),
+                        cm=cm,
+                        threshold=fitted.threshold,
+                        threshold_curve=fitted.curve,
+                        n_train=len(train_ids),
+                        n_eval=len(eval_ids),
+                        vocab_size=len(fitted.vocabulary),
+                        pca_requested=config.pca_components,
+                        pca_effective=fitted.pca_effective,
+                        smote_synthetic=fitted.smote_synthetic,
+                    )
+                )
+            del pipelines, fitted
     return tuple(
         CrossValResult(
-            config=replace(config, threshold=policy),
+            config=config,
             n_folds=n_folds,
             seed=seed,
             folds=tuple(results),
             aggregate=aggregate_reports([fr.report for fr in results]),
         )
-        for policy, results in zip(policies, fold_results)
+        for config, results in zip(configs, fold_results)
     )
 
 
@@ -437,11 +451,9 @@ def cross_validate(
     corpus: Corpus, config: PipelineConfig, n_folds: int = 5, seed: int = 0
 ) -> CrossValResult:
     """Stratified k-fold evaluation of one pipeline configuration: the
-    one-policy case of ``cross_validate_policies``.
+    one-config case of ``cross_validate_all``.
     """
-    (result,) = cross_validate_policies(
-        corpus, config, (config.threshold,), n_folds=n_folds, seed=seed
-    )
+    (result,) = cross_validate_all(corpus, (config,), n_folds=n_folds, seed=seed)
     return result
 
 
@@ -474,12 +486,13 @@ def grid_search(
     if not grid:
         raise EmptyGridError("parameter grid is empty")
     base = base_config or PipelineConfig(family=family, hyperparameters={})
+    outcomes = cross_validate_all(
+        corpus, [_config_for_point(base, p) for p in grid], n_folds=n_folds, seed=seed
+    )
     results = []
     best_idx = 0
     best_f1 = -1.0
-    for idx, point in enumerate(grid):
-        config = _config_for_point(base, point)
-        outcome = cross_validate(corpus, config, n_folds=n_folds, seed=seed)
+    for idx, (point, outcome) in enumerate(zip(grid, outcomes)):
         mean_f1 = outcome.aggregate.mean["f1"]
         results.append((point, mean_f1))
         if mean_f1 > best_f1:

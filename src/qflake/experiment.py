@@ -20,12 +20,11 @@ from .eval import (
     CrossValResult,
     PipelineConfig,
     ThresholdPolicy,
-    cross_validate_policies,
+    cross_validate_all,
 )
 from .classifiers import FAMILIES
 
 METHODS = ("vanilla", "smote", "threshold", "hybrid")
-DATASET_MODES = ("balanced", "imbalanced")
 
 # method -> (profile name, smote enabled, threshold tuned)
 _METHOD_WIRING = {
@@ -142,32 +141,6 @@ REFERENCE_RESULTS = {
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    dataset_mode: str
-    method: str
-    families: tuple[str, ...] = FAMILIES
-    seed: int = 0
-    n_folds: int = 5
-    tokenizer: str = "default"
-    fit_vocab_on_all: bool = False
-    tune_on_eval_fold: bool = False
-
-    def __post_init__(self):
-        if self.dataset_mode not in DATASET_MODES:
-            raise ConfigError(f"dataset_mode must be one of {DATASET_MODES}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}")
-        if self.dataset_mode == "balanced" and self.method != "vanilla":
-            raise ConfigError(
-                "the balanced dataset admits only the vanilla method; "
-                "imbalance remedies apply to the 1:5 set"
-            )
-        unknown = [f for f in self.families if f not in FAMILIES]
-        if unknown:
-            raise ConfigError(f"unknown families: {unknown}")
-
-
-@dataclass(frozen=True)
 class ResultRow:
     dataset_mode: str
     method: str
@@ -189,7 +162,13 @@ class ResultsTable:
         raise KeyError(f"no row for ({method}, {family})")
 
 
-def pipeline_config_for(method: str, family: str, config: ExperimentConfig) -> PipelineConfig:
+def pipeline_config_for(
+    method: str,
+    family: str,
+    tokenizer: str = "default",
+    fit_vocab_on_all: bool = False,
+    tune_on_eval_fold: bool = False,
+) -> PipelineConfig:
     profile, smote, tuned = _METHOD_WIRING[method]
     policy = ThresholdPolicy(mode="tuned" if tuned else "fixed")
     return PipelineConfig.from_profile(
@@ -197,9 +176,9 @@ def pipeline_config_for(method: str, family: str, config: ExperimentConfig) -> P
         profile,
         smote=smote,
         threshold=policy,
-        tokenizer=config.tokenizer,
-        fit_vocab_on_all=config.fit_vocab_on_all,
-        tune_on_eval_fold=config.tune_on_eval_fold,
+        tokenizer=tokenizer,
+        fit_vocab_on_all=fit_vocab_on_all,
+        tune_on_eval_fold=tune_on_eval_fold,
     )
 
 
@@ -234,56 +213,40 @@ def _row_from_outcome(
     )
 
 
-def run_configuration(corpus: Corpus, config: ExperimentConfig) -> ResultsTable:
-    """One (dataset_mode, method) slice across the requested families.
-
-    The whole table is built before anything is returned; a failure in any
-    cell aborts the run rather than emitting a partial table.
+def _table(
+    corpus: Corpus,
+    dataset_mode: str,
+    methods: tuple[str, ...],
+    families: tuple[str, ...],
+    seed: int,
+    n_folds: int,
+    **settings,
+) -> ResultsTable:
+    """One results table: rows methods outer, families inner, every cell
+    cross-validated on the same folds of the ``dataset_mode`` subset by one
+    ``cross_validate_all`` call, with ``settings`` passed on to
+    ``pipeline_config_for``. The whole table is built before anything is
+    returned; a failure in any cell aborts it.
     """
-    return _run_methods(corpus, (config,))
-
-
-def _run_methods(corpus: Corpus, configs: tuple[ExperimentConfig, ...]) -> ResultsTable:
-    """The table of ``configs``, which differ only in method: rows methods
-    outer, families inner, metadata as ``run_configuration`` gives it with
-    every method listed.
-
-    Methods that share a profile and SMOTE setting (vanilla and threshold;
-    smote and hybrid) differ only in the threshold policy, so per family
-    they share one ``cross_validate_policies`` walk: the tuned rows reuse
-    the untuned rows' fold fits.
-    """
-    base = configs[0]
-    data = select_subset(corpus, SubsetMode(base.dataset_mode), base.seed)
-    walks: dict[tuple, list[str]] = {}
-    for c in configs:
-        walks.setdefault(_METHOD_WIRING[c.method][:2], []).append(c.method)
-    outcomes = {}
-    for family in base.families:
-        for methods in walks.values():
-            policies = [pipeline_config_for(m, family, base).threshold for m in methods]
-            results = cross_validate_policies(
-                data,
-                pipeline_config_for(methods[0], family, base),
-                policies,
-                n_folds=base.n_folds,
-                seed=base.seed,
-            )
-            outcomes.update(((m, family), r) for m, r in zip(methods, results))
+    data = select_subset(corpus, SubsetMode(dataset_mode), seed)
+    cells = [(m, f) for m in methods for f in families]
+    outcomes = cross_validate_all(
+        data,
+        [pipeline_config_for(m, f, **settings) for m, f in cells],
+        n_folds=n_folds,
+        seed=seed,
+    )
     rows = [
-        _row_from_outcome(base.dataset_mode, c.method, family, outcomes[c.method, family])
-        for c in configs
-        for family in base.families
+        _row_from_outcome(dataset_mode, m, f, outcome)
+        for (m, f), outcome in zip(cells, outcomes)
     ]
     metadata = {
-        "dataset_mode": base.dataset_mode,
-        "methods": [c.method for c in configs],
-        "families": list(base.families),
-        "seed": base.seed,
-        "n_folds": base.n_folds,
-        "tokenizer": base.tokenizer,
-        "fit_vocab_on_all": base.fit_vocab_on_all,
-        "tune_on_eval_fold": base.tune_on_eval_fold,
+        "dataset_mode": dataset_mode,
+        "methods": list(methods),
+        "families": list(families),
+        "seed": seed,
+        "n_folds": n_folds,
+        **settings,
         "corpus_hash": corpus.content_hash(),
         "dataset_hash": data.content_hash(),
         "class_counts": {k.value: v for k, v in data.class_counts.items()},
@@ -306,10 +269,18 @@ def run_paper_suite(
     Returns {"table_balanced": ..., "table_imbalanced": ...} in the
     reference row order (methods outer, families inner). Filtering
     vanilla out of ``methods`` drops the balanced table, which only ever
-    runs vanilla.
+    runs vanilla: the imbalance remedies apply to the 1:5 set.
     """
     if not methods:
         raise ConfigError("no methods requested")
+    if not families:
+        raise ConfigError("no families requested")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ConfigError(f"unknown methods: {unknown}")
+    unknown = [f for f in families if f not in FAMILIES]
+    if unknown:
+        raise ConfigError(f"unknown families: {unknown}")
     settings = dict(
         families=families,
         seed=seed,
@@ -320,13 +291,8 @@ def run_paper_suite(
     )
     tables = {}
     if "vanilla" in methods:
-        tables["table_balanced"] = run_configuration(
-            corpus, ExperimentConfig(dataset_mode="balanced", method="vanilla", **settings)
-        )
-    tables["table_imbalanced"] = _run_methods(
-        corpus,
-        tuple(ExperimentConfig(dataset_mode="imbalanced", method=m, **settings) for m in methods),
-    )
+        tables["table_balanced"] = _table(corpus, "balanced", ("vanilla",), **settings)
+    tables["table_imbalanced"] = _table(corpus, "imbalanced", methods, **settings)
     return tables
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 _WORD_RUN = re.compile(r"\w+")
 
 
@@ -36,7 +38,7 @@ def get_tokenizer_profile(name: str) -> TokenizerProfile:
     try:
         return TOKENIZER_PROFILES[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown tokenizer profile {name!r}; "
             f"expected one of {sorted(TOKENIZER_PROFILES)}"
         ) from None

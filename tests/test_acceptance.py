@@ -213,6 +213,7 @@ def _tuned_rows(run_payload):
     return [r for r in rows if r["method"] in ("threshold", "hybrid")]
 
 
+@pytest.mark.slow
 def test_criterion_5_threshold_dominance(suite_runs):
     _, _, _, run_payload = suite_runs
     rows = _tuned_rows(run_payload)
@@ -238,6 +239,7 @@ def test_criterion_5_threshold_dominance(suite_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_result_table_suite(suite_runs):
     elapsed, dir_a, dir_b, run_payload = suite_runs
 
@@ -283,6 +285,7 @@ def test_criterion_6_result_table_suite(suite_runs):
     report(6, "result-table suite on the 288-file corpus", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_wiring_equivalences(suite_runs, corpus288):
     _, _, _, run_payload = suite_runs
     rows = {

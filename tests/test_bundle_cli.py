@@ -287,6 +287,33 @@ def _evaluate_in_folds(tmp_path, folds):
     return ["evaluate", "--manifest", manifest, "--family", "dt", "--folds", folds]
 
 
+def _configured(tmp_path, payload):
+    command, config = payload
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    manifest = _labelled_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 4)
+    args = {
+        "ingest": ["--manifest", manifest],
+        "train": ["--manifest", manifest, "--family", "dt", "--out", tmp_path / "b.json"],
+        "evaluate": ["--manifest", manifest, "--family", "dt", "--folds", 2],
+        "experiment": ["--manifest", manifest, "--folds", 2, "--out", tmp_path / "out"],
+    }[command]
+    return [command, *args, "--config", cfg]
+
+
+def _tokenless(tmp_path, command):
+    """Every file is ``x = 1``: no token reaches the two-character floor."""
+    manifest = _labelled_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 4)
+    for source in tmp_path.glob("t*.py"):
+        source.write_text("x = 1\n")
+    args = {
+        "train": ["--family", "xgb", "--out", tmp_path / "b.json"],
+        "evaluate": ["--family", "knn", "--folds", 2],
+        "experiment": ["--folds", 2, "--out", tmp_path / "out"],
+    }[command]
+    return [command, "--manifest", manifest, *args]
+
+
 MALFORMED_INPUTS = {
     "record-without-label": (_manifest_with, '{"id": "b", "path": "a.py"}'),
     "record-is-json-array": (_manifest_with, '["b", "a.py", "flaky"]'),
@@ -298,6 +325,18 @@ MALFORMED_INPUTS = {
     "experiment-empty-manifest": (_experiment_on, []),
     "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
     "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),
+    "config-seed-not-integer": (_configured, ("ingest", {"seed": "abc"})),
+    "config-folds-not-integer": (_configured, ("experiment", {"folds": "x"})),
+    "config-tokenizer-unknown": (_configured, ("train", {"tokenizer": "bogus"})),
+    "config-dataset-unknown": (_configured, ("evaluate", {"dataset": "bogus"})),
+    "config-hyperparameters-not-object": (_configured, ("train", {"hyperparameters": [1]})),
+    "config-hyperparameter-invalid": (
+        _configured, ("evaluate", {"hyperparameters": {"max_depth": "x"}})
+    ),
+    "config-models-not-list": (_configured, ("experiment", {"models": "dt"})),
+    "train-empty-vocabulary": (_tokenless, "train"),
+    "evaluate-empty-vocabulary": (_tokenless, "evaluate"),
+    "experiment-empty-vocabulary": (_tokenless, "experiment"),
 }
 
 
@@ -308,6 +347,12 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_config_file_error_names_the_key(tmp_path):
+    proc = run_cli(*_configured(tmp_path, ("experiment", {"models": "dt"})))
+    assert proc.returncode == 2
+    assert "'models' must be a list" in proc.stderr, proc.stderr
 
 
 def test_unconverged_svd_exits_3_with_one_line(tiny_manifest, tmp_path, monkeypatch, capsys):

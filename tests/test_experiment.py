@@ -9,53 +9,54 @@ from qflake.eval import PipelineConfig, ThresholdPolicy, cross_validate
 from qflake.experiment import (
     METHODS,
     REFERENCE_RESULTS,
-    ExperimentConfig,
     pipeline_config_for,
-    run_configuration,
     run_paper_suite,
     table_to_csv,
     write_results,
 )
 
 
-class TestExperimentConfig:
-    def test_balanced_admits_only_vanilla(self):
-        for method in ("smote", "threshold", "hybrid"):
-            with pytest.raises(ConfigError):
-                ExperimentConfig(dataset_mode="balanced", method=method)
-        ExperimentConfig(dataset_mode="balanced", method="vanilla")
+class TestSuiteSettings:
+    def test_balanced_admits_only_vanilla(self, tiny_corpus):
+        tables = run_paper_suite(
+            tiny_corpus, seed=3, n_folds=4, methods=("hybrid", "vanilla"), families=("dt",)
+        )
+        assert [r.method for r in tables["table_balanced"].rows] == ["vanilla"]
+        assert [r.method for r in tables["table_imbalanced"].rows] == ["hybrid", "vanilla"]
 
-    def test_unknown_family_rejected(self):
+    def test_unknown_family_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
-            ExperimentConfig(
-                dataset_mode="imbalanced", method="vanilla", families=("mlp",)
-            )
+            run_paper_suite(tiny_corpus, families=("mlp",))
+        with pytest.raises(ConfigError):
+            run_paper_suite(tiny_corpus, families=())
+
+    def test_unknown_method_rejected(self, tiny_corpus):
+        with pytest.raises(ConfigError):
+            run_paper_suite(tiny_corpus, methods=("vanilla", "bagging"))
 
 
 class TestMethodWiring:
     def test_vanilla_wiring(self):
-        cfg = pipeline_config_for("vanilla", "svm", ExperimentConfig("imbalanced", "vanilla"))
+        cfg = pipeline_config_for("vanilla", "svm")
         assert cfg.profile_name == "paper_vanilla"
         assert not cfg.smote
         assert cfg.threshold.mode == "fixed"
         assert cfg.pca_components == 220
 
     def test_smote_wiring_switches_profile(self):
-        cfg = pipeline_config_for("smote", "svm", ExperimentConfig("imbalanced", "smote"))
+        cfg = pipeline_config_for("smote", "svm")
         assert cfg.profile_name == "paper_smote"
         assert cfg.smote
         assert cfg.pca_components == 180
 
     def test_threshold_keeps_vanilla_profile(self):
-        cfg = pipeline_config_for(
-            "threshold", "xgb", ExperimentConfig("imbalanced", "threshold")
-        )
+        cfg = pipeline_config_for("threshold", "xgb")
         assert cfg.profile_name == "paper_vanilla"
         assert not cfg.smote
         assert cfg.threshold.mode == "tuned"
 
     def test_hybrid_combines_smote_and_tuning(self):
-        cfg = pipeline_config_for("hybrid", "knn", ExperimentConfig("imbalanced", "hybrid"))
+        cfg = pipeline_config_for("hybrid", "knn")
         assert cfg.profile_name == "paper_smote"
         assert cfg.smote and cfg.threshold.mode == "tuned"
         assert cfg.pca_components == 200
@@ -63,22 +64,15 @@ class TestMethodWiring:
     def test_tree_families_never_get_pca(self):
         for method in METHODS:
             for family in ("xgb", "dt", "rf"):
-                cfg = pipeline_config_for(
-                    method, family, ExperimentConfig("imbalanced", method)
-                )
+                cfg = pipeline_config_for(method, family)
                 assert cfg.pca_components is None
 
 
 class TestRunConfiguration:
     def test_table_covers_requested_cells(self, tiny_corpus):
-        config = ExperimentConfig(
-            dataset_mode="imbalanced",
-            method="vanilla",
-            families=("dt", "knn"),
-            seed=3,
-            n_folds=4,
-        )
-        table = run_configuration(tiny_corpus, config)
+        table = run_paper_suite(
+            tiny_corpus, seed=3, n_folds=4, methods=("vanilla",), families=("dt", "knn")
+        )["table_imbalanced"]
         assert [(r.method, r.family) for r in table.rows] == [
             ("vanilla", "dt"),
             ("vanilla", "knn"),
@@ -88,14 +82,9 @@ class TestRunConfiguration:
         assert all(v >= 0 for v in row.std.values())
 
     def test_metadata_is_auditable(self, tiny_corpus):
-        config = ExperimentConfig(
-            dataset_mode="imbalanced",
-            method="hybrid",
-            families=("knn",),
-            seed=3,
-            n_folds=4,
-        )
-        table = run_configuration(tiny_corpus, config)
+        table = run_paper_suite(
+            tiny_corpus, seed=3, n_folds=4, methods=("hybrid",), families=("knn",)
+        )["table_imbalanced"]
         meta = table.row("hybrid", "knn").metadata
         assert meta["profile"] == "paper_smote"
         assert meta["smote"] is True
@@ -105,16 +94,12 @@ class TestRunConfiguration:
         assert meta["pca_requested"] == 200
 
     def test_determinism(self, tiny_corpus):
-        config = ExperimentConfig(
-            dataset_mode="imbalanced",
-            method="smote",
-            families=("dt",),
-            seed=11,
-            n_folds=4,
-        )
-        a = run_configuration(tiny_corpus, config)
-        b = run_configuration(tiny_corpus, config)
-        assert table_to_csv(a) == table_to_csv(b)
+        def table():
+            return run_paper_suite(
+                tiny_corpus, seed=11, n_folds=4, methods=("smote",), families=("dt",)
+            )["table_imbalanced"]
+
+        assert table_to_csv(table()) == table_to_csv(table())
 
 
 class TestWiringEquivalences:
@@ -163,24 +148,23 @@ class TestSuite:
         confusion matrices included.
         """
         walked = {}
-        real = experiment.cross_validate_policies
+        real = experiment.cross_validate_all
 
-        def recording(data, config, policies, **kwargs):
-            results = real(data, config, policies, **kwargs)
+        def recording(data, configs, **kwargs):
+            results = real(data, configs, **kwargs)
             for r in results:
                 key = (data.content_hash(), r.config.profile_name, r.config.smote,
                        r.config.family, r.config.threshold.mode)
                 walked[key] = r
             return results
 
-        monkeypatch.setattr(experiment, "cross_validate_policies", recording)
+        monkeypatch.setattr(experiment, "cross_validate_all", recording)
         tables = run_paper_suite(tiny_corpus, seed=5, n_folds=4, **flags)
         rows = tables["table_balanced"].rows + tables["table_imbalanced"].rows
         assert len(rows) == 25
         for row in rows:
-            config = ExperimentConfig(row.dataset_mode, row.method, seed=5, n_folds=4, **flags)
             data = select_subset(tiny_corpus, SubsetMode(row.dataset_mode), 5)
-            pipeline = pipeline_config_for(row.method, row.family, config)
+            pipeline = pipeline_config_for(row.method, row.family, **flags)
             alone = cross_validate(data, pipeline, n_folds=4, seed=5)
             assert row.mean == alone.aggregate.mean
             assert row.std == alone.aggregate.std
@@ -192,20 +176,36 @@ class TestSuite:
     def test_default_suite_trains_each_model_once(self, tiny_corpus, monkeypatch):
         """15 distinct models per fold: 5 balanced vanilla, 5 imbalanced
         vanilla (shared with threshold), 5 imbalanced SMOTE (shared with
-        hybrid).
+        hybrid). One cross-validation call per table, which tokenizes
+        each of its documents once: 16 balanced + 24 imbalanced.
         """
         keys = []
-        real = eval_mod.train_model
+        tokenized = []
+        tables = []
+        real_train, real_tokenize = eval_mod.train_model, eval_mod.tokenize
+        real_cv = experiment.cross_validate_all
 
         def counting(family, X, y, hyperparameters, seed):
             keys.append((family, X.tobytes(), y.tobytes(),
                          json.dumps(hyperparameters, sort_keys=True), seed))
-            return real(family, X, y, hyperparameters, seed=seed)
+            return real_train(family, X, y, hyperparameters, seed=seed)
+
+        def tokenizing(text, profile):
+            tokenized.append(text)
+            return real_tokenize(text, profile)
+
+        def cross_validating(data, configs, **kwargs):
+            tables.append(len(configs))
+            return real_cv(data, configs, **kwargs)
 
         monkeypatch.setattr(eval_mod, "train_model", counting)
+        monkeypatch.setattr(eval_mod, "tokenize", tokenizing)
+        monkeypatch.setattr(experiment, "cross_validate_all", cross_validating)
         run_paper_suite(tiny_corpus, seed=5, n_folds=4)
         assert len(keys) == 15 * 4
         assert len(set(keys)) == len(keys)
+        assert len(tokenized) == 16 + 24
+        assert tables == [5, 20]
 
     def test_tiny_suite_shape_and_rendering(self, tiny_corpus, tmp_path):
         tables = run_paper_suite(tiny_corpus, seed=5, n_folds=4)

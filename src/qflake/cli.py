@@ -251,6 +251,19 @@ def _pipeline_from_args(args, file_config: dict) -> tuple[PipelineConfig, dict]:
     return config, echo
 
 
+def _prepare_out_file(path: Path) -> None:
+    """Create the missing parent directories of an output file before any
+    work is done, so a bad --out fails fast as a usage error."""
+    if path.is_dir():
+        raise ConfigError(f"--out {path} is a directory; give a file path")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out {path}: cannot create its directory ({exc.strerror or exc})"
+        ) from None
+
+
 def _fmt_float(x) -> str:
     return repr(float(x))
 
@@ -306,6 +319,7 @@ def cmd_train(args, file_config: dict) -> int:
     corpus = load_manifest(args.manifest)
     if args.out is None:
         raise ConfigError("train: --out BUNDLE_PATH is required")
+    _prepare_out_file(args.out)
     try:
         bundle = train_bundle(corpus, config, seed=seed)
     except _INVALID_RUN:
@@ -331,6 +345,8 @@ def cmd_predict(args, file_config: dict) -> int:
         except UnicodeDecodeError:
             print(f"predict: {path} is not valid UTF-8", file=sys.stderr)
             return EXIT_VALIDATION
+    if args.out is not None:
+        _prepare_out_file(args.out)
     scores, labels = bundle.predict_texts(texts)
     lines = [
         json.dumps(

@@ -3,9 +3,16 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from qflake.corpus import load_manifest
 from qflake.synthetic import generate_corpus
+
+# Property tests are judged on their examples, not their speed: on a busy
+# machine one example can overrun any fixed deadline. Each test keeps its
+# own max_examples.
+settings.register_profile("qflake", deadline=None)
+settings.load_profile("qflake")
 
 # Point QFLAKE_CORPUS_MANIFEST at a real corpus manifest to run the
 # corpus-scale tests against it; otherwise the bundled synthetic

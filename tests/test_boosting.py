@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qflake.classifiers import sigmoid, train_gbt
+from qflake.classifiers import boosting, get_profile, sigmoid, train_gbt
 from qflake.classifiers.boosting import grow_newton_tree
 from qflake.classifiers.tree import tree_depth, tree_predict_value
+from qflake.corpus import Label, stratified_folds
 from qflake.errors import DimensionMismatchError, SpecInvalidError
+from qflake.resample import smote_resample
+from qflake.text import fit_vocabulary, tokenize, transform
 
+from presorted_grower import grow_presorted_tree
 from test_trees import separable_set
 
 LAM = 1.0
@@ -143,3 +149,111 @@ class TestGradientBoosting:
         )
         clone = type(model).from_dict(model.to_dict())
         assert np.array_equal(clone.score(X), model.score(X))
+
+
+class PresortedBins:
+    """Stands in for ``ExactBins`` in ``train_gbt``, growing every tree
+    with the presorted reference grower."""
+
+    def __init__(self, X):
+        self.X = X
+
+    def grow(self, g, h, max_depth, lam=LAM):
+        return grow_presorted_tree(self.X, g, h, max_depth, lam)
+
+
+def assert_same_tree(tree, reference):
+    """Same shape, features and thresholds; leaf values to 1e-12 relative."""
+    assert tree.is_leaf == reference.is_leaf
+    if reference.is_leaf:
+        scale = max(1.0, abs(reference.value))
+        assert abs(tree.value - reference.value) <= 1e-12 * scale
+        return
+    assert (tree.feature, tree.threshold) == (reference.feature, reference.threshold)
+    assert_same_tree(tree.left, reference.left)
+    assert_same_tree(tree.right, reference.right)
+
+
+COLUMN_KINDS = ("normal", "rounded", "zero", "duplicate", "partition", "smote")
+
+
+def make_columns(kinds, n, rng):
+    """One column per kind: continuous with negatives, rounded to one
+    decimal (repeats and zeros), all zero, a copy of the previous column,
+    an equal-partition column (every such column splits the rows into the
+    same two sets, in a different order within each side), and sparse
+    counts with SMOTE-like fractional interpolations."""
+    side = rng.permutation(n) < rng.integers(1, n) if n > 1 else np.ones(n, bool)
+    columns = []
+    for kind in kinds:
+        if kind == "normal":
+            col = rng.normal(size=n)
+        elif kind == "rounded":
+            col = rng.normal(size=n).round(1)
+        elif kind == "zero":
+            col = np.zeros(n)
+        elif kind == "duplicate":
+            col = columns[-1].copy() if columns else np.zeros(n)
+        elif kind == "partition":
+            col = np.empty(n)
+            col[side] = rng.permutation(int(side.sum()))
+            col[~side] = side.sum() + rng.permutation(int((~side).sum()))
+            col -= rng.integers(0, 3) * side.sum()
+        else:
+            counts = rng.poisson(0.7, size=(2, n)).astype(np.float64)
+            u = rng.random(n) * (rng.random(n) < 0.5)
+            col = counts[0] + u * (counts[1] - counts[0])
+        columns.append(col)
+    return np.column_stack(columns)
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(2, 60),
+    kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=8),
+    max_depth=st.integers(1, 5),
+    constant_p=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_bins_grow_the_presorted_tree(n, kinds, max_depth, constant_p, seed):
+    """The exact sparse-histogram grower builds the presorted reference
+    grower's tree, round after round from the same bins. ``constant_p``
+    gives the first round's gradients: one score for every row, so many
+    splits tie exactly."""
+    rng = np.random.default_rng(seed)
+    X = make_columns(kinds, n, rng)
+    y = rng.random(n) < 0.4
+    bins = boosting.ExactBins(X)
+    for scale in (0.0 if constant_p else 1.5, 1.5, 0.5):
+        p = sigmoid(rng.normal() + rng.normal(0, scale, n))
+        g = p - y
+        h = p * (1.0 - p)
+        reference = grow_presorted_tree(X, g, h, max_depth)
+        assert_same_tree(bins.grow(g, h, max_depth), reference)
+        assert_same_tree(grow_newton_tree(X, g, h, max_depth), reference)
+
+
+@pytest.mark.parametrize("profile", ["paper_vanilla", "paper_smote"])
+def test_whole_fit_matches_presorted_grower(profile, tiny_corpus, monkeypatch):
+    """``train_gbt`` on one fold's training matrix, vanilla or after SMOTE,
+    grows the same trees and scores whichever grower it uses."""
+    folds = stratified_folds(tiny_corpus, 4, seed=3)
+    train = [e for e in tiny_corpus if folds.assignment[e.id] != 0]
+    docs = [tokenize(e.text) for e in train]
+    X = transform(docs, fit_vocabulary(docs)).counts.astype(np.float64)
+    y = np.array([e.label is Label.FLAKY for e in train], dtype=np.int8)
+    if profile == "paper_smote":
+        resampled = smote_resample(X, y, 5, seed=3)
+        X, y = resampled.X, resampled.y
+        assert not np.array_equal(X, X.round())  # fractional synthetic rows
+    params = get_profile("xgb", profile).hyperparameters
+
+    model = train_gbt(X, y, params, seed=3)
+    monkeypatch.setattr(boosting, "ExactBins", PresortedBins)
+    reference = train_gbt(X, y, params, seed=3)
+
+    assert len(model.trees) == len(reference.trees) == params["n_estimators"]
+    for tree, ref in zip(model.trees, reference.trees):
+        assert_same_tree(tree, ref)
+    assert sum(not t.is_leaf for t in model.trees) > 0
+    assert np.allclose(model.score(X), reference.score(X), rtol=1e-12, atol=0)

@@ -314,6 +314,21 @@ def _tokenless(tmp_path, command):
     return [command, "--manifest", manifest, *args]
 
 
+def _out_is_directory(tmp_path, command):
+    """A trainable manifest, and for predict a saved bundle; --out names an
+    existing directory."""
+    manifest = _labelled_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 4)
+    for i, source in enumerate(sorted(tmp_path.glob("t*.py"))):
+        source.write_text(f"def test_case{i}():\n    assert qubit_{i % 2} == expected\n")
+    (tmp_path / "out_dir").mkdir()
+    if command == "train":
+        return ["train", "--manifest", manifest, "--family", "dt", "--out", tmp_path / "out_dir"]
+    bundle = tmp_path / "bundle.json"
+    assert cli.main(["train", "--manifest", str(manifest), "--family", "dt",
+                     "--out", str(bundle)]) == 0
+    return ["predict", "--bundle", bundle, tmp_path / "t0.py", "--out", tmp_path / "out_dir"]
+
+
 MALFORMED_INPUTS = {
     "record-without-label": (_manifest_with, '{"id": "b", "path": "a.py"}'),
     "record-is-json-array": (_manifest_with, '["b", "a.py", "flaky"]'),
@@ -337,6 +352,8 @@ MALFORMED_INPUTS = {
     "train-empty-vocabulary": (_tokenless, "train"),
     "evaluate-empty-vocabulary": (_tokenless, "evaluate"),
     "experiment-empty-vocabulary": (_tokenless, "experiment"),
+    "train-out-is-directory": (_out_is_directory, "train"),
+    "predict-out-is-directory": (_out_is_directory, "predict"),
 }
 
 
@@ -347,6 +364,19 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_train_and_predict_create_missing_out_directories(tiny_manifest, tmp_path):
+    bundle = tmp_path / "new" / "nested" / "bundle.json"
+    proc = run_cli("train", "--manifest", tiny_manifest, "--family", "dt", "--out", bundle)
+    assert proc.returncode == 0, proc.stderr
+    assert ModelBundle.load(bundle).threshold == 0.5
+
+    source = next(tiny_manifest.parent.rglob("*.py"))
+    scores = tmp_path / "other" / "deep" / "scores.jsonl"
+    proc = run_cli("predict", "--bundle", bundle, source, "--out", scores)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(scores.read_text())["path"] == str(source)
 
 
 def test_config_file_error_names_the_key(tmp_path):

@@ -171,7 +171,7 @@ def manifest_dir(tmp_path_factory):
     return root
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(lines=st.lists(MANIFEST_LINES, max_size=6))
 @example(lines=['{"id": "a", "path": "\\ud800", "label": "flaky"}'])
 @example(lines=['{"id": "a", "path": "a\\u0000b", "label": "flaky"}'])
@@ -286,7 +286,7 @@ class TestStratifiedFolds:
         b = stratified_folds(corpus, 5, seed=9)
         assert a == b
 
-    @settings(deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(
         n_flaky=st.integers(min_value=2, max_value=40),
         n_nonflaky=st.integers(min_value=2, max_value=60),

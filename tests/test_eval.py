@@ -108,7 +108,7 @@ class TestComputeMetrics:
             ):
                 assert abs(got - want) < 1e-12
 
-    @settings(deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(
         y=st.lists(st.booleans(), min_size=1, max_size=60),
         p=st.lists(st.booleans(), min_size=1, max_size=60),
@@ -123,7 +123,7 @@ class TestComputeMetrics:
         shuffled = compute_metrics(confusion(y_true[perm], y_pred[perm]))
         assert base == shuffled
 
-    @settings(deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(
         tp=st.integers(0, 50), fp=st.integers(0, 50),
         fn=st.integers(0, 50), tn=st.integers(0, 50),

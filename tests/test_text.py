@@ -86,7 +86,7 @@ token_lists = st.lists(
 )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(docs=token_lists)
 def test_row_sums_equal_in_vocab_token_counts(docs):
     vocab = fit_vocabulary(docs)
@@ -94,7 +94,7 @@ def test_row_sums_equal_in_vocab_token_counts(docs):
     assert m.counts.sum(axis=1).tolist() == [len(d) for d in docs]
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(docs=token_lists, seed=st.integers(min_value=0, max_value=999))
 def test_permuting_documents_permutes_rows(docs, seed):
     vocab = fit_vocabulary(docs)

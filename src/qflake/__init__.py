@@ -29,7 +29,6 @@ from .eval import (
     compute_metrics,
     confusion,
     cross_validate,
-    grid_search,
     tune_threshold,
 )
 from .experiment import ResultsTable, run_paper_suite

@@ -167,12 +167,6 @@ class ExactBins:
         return tree
 
 
-def grow_newton_tree(X, g, h, max_depth, lam=_LAMBDA) -> TreeNode:
-    """Grow one regression tree on gradients/hessians; ``train_gbt`` bins
-    X once and grows every round's tree from the same ``ExactBins``."""
-    return ExactBins(X).grow(g, h, max_depth, lam)
-
-
 @dataclass
 class GradientBoostingModel:
     family = "xgb"

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..seeding import STREAM_MODEL, rng_for
 from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
-from .tree import CRITERIA, TreeNode, grow_class_tree, tree_predict_proba
+from .tree import CRITERIA, SplitSearch, TreeNode, grow_class_tree, tree_predict_proba
 
 _RF_PARAMS = {
     "n_estimators": (REQUIRED, lambda v: isinstance(v, int) and v >= 1),
@@ -70,15 +70,16 @@ def train_random_forest(X, y, params=None, seed=0) -> RandomForestModel:
     resolved = validate_params("rf", params or {}, _RF_PARAMS)
     n, d = X.shape
     max_features = min(d, math.ceil(math.sqrt(d)))
+    # every bootstrap sample has n rows, so one search serves every tree
+    search = SplitSearch(X, y, resolved["criterion"])
     trees = []
     for t in range(resolved["n_estimators"]):
         rng = rng_for(seed, STREAM_MODEL, t)
         sample = rng.integers(0, n, size=n)
         trees.append(
             grow_class_tree(
-                X[sample],
-                y[sample],
-                criterion=resolved["criterion"],
+                search,
+                sample,
                 max_depth=resolved["max_depth"],
                 min_samples_leaf=resolved["min_samples_leaf"],
                 min_samples_split=resolved["min_samples_split"],

@@ -251,16 +251,19 @@ def _pipeline_from_args(args, file_config: dict) -> tuple[PipelineConfig, dict]:
     return config, echo
 
 
-def _prepare_out_file(path: Path) -> None:
-    """Create the missing parent directories of an output file before any
-    work is done, so a bad --out fails fast as a usage error."""
-    if path.is_dir():
+def _prepare_out(path: Path, directory: bool) -> None:
+    """Check ``--out`` and create the directories it needs before any work
+    is done, so a bad --out fails fast as a usage error. ``directory``
+    says whether the command writes a directory at ``path`` or a file."""
+    if directory and path.exists() and not path.is_dir():
+        raise ConfigError(f"--out {path} is not a directory")
+    if not directory and path.is_dir():
         raise ConfigError(f"--out {path} is a directory; give a file path")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(
-            f"--out {path}: cannot create its directory ({exc.strerror or exc})"
+            f"--out {path}: cannot create a directory ({exc.strerror or exc})"
         ) from None
 
 
@@ -272,6 +275,8 @@ def cmd_ingest(args, file_config: dict) -> int:
     if (args.root is None) == (args.manifest is None):
         print("ingest: provide exactly one of --root or --manifest", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.out is not None:
+        _prepare_out(args.out, directory=False)
     if args.root is not None:
         records = scan_tree(args.root)
         if not records:
@@ -316,10 +321,10 @@ def cmd_ingest(args, file_config: dict) -> int:
 def cmd_train(args, file_config: dict) -> int:
     config, echo = _pipeline_from_args(args, file_config)
     seed = int(_effective(args, file_config, "seed", 0))
-    corpus = load_manifest(args.manifest)
     if args.out is None:
         raise ConfigError("train: --out BUNDLE_PATH is required")
-    _prepare_out_file(args.out)
+    _prepare_out(args.out, directory=False)
+    corpus = load_manifest(args.manifest)
     try:
         bundle = train_bundle(corpus, config, seed=seed)
     except _INVALID_RUN:
@@ -334,6 +339,8 @@ def cmd_train(args, file_config: dict) -> int:
 
 
 def cmd_predict(args, file_config: dict) -> int:
+    if args.out is not None:
+        _prepare_out(args.out, directory=False)
     bundle = ModelBundle.load(args.bundle)
     texts = []
     for path in args.files:
@@ -345,8 +352,6 @@ def cmd_predict(args, file_config: dict) -> int:
         except UnicodeDecodeError:
             print(f"predict: {path} is not valid UTF-8", file=sys.stderr)
             return EXIT_VALIDATION
-    if args.out is not None:
-        _prepare_out_file(args.out)
     scores, labels = bundle.predict_texts(texts)
     lines = [
         json.dumps(
@@ -386,6 +391,8 @@ def cmd_evaluate(args, file_config: dict) -> int:
     seed = int(_effective(args, file_config, "seed", 0))
     n_folds = int(_effective(args, file_config, "folds", 5))
     dataset = _effective(args, file_config, "dataset", "all")
+    if args.out is not None:
+        _prepare_out(args.out, directory=True)
     corpus = load_manifest(args.manifest)
     data = select_subset(corpus, SubsetMode(dataset), seed)
     try:
@@ -421,7 +428,6 @@ def cmd_evaluate(args, file_config: dict) -> int:
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(payload, encoding="utf-8")
         (out_dir / "report.csv").write_text(_report_csv(result), encoding="utf-8")
         print(f"report written: {out_dir}")
@@ -454,8 +460,8 @@ def cmd_experiment(args, file_config: dict) -> int:
     run_id = hashlib.sha256(
         json.dumps(run_config, sort_keys=True).encode("utf-8")
     ).hexdigest()[:12]
-    out_root = args.out or Path("results")
-    out_dir = Path(out_root) / run_id
+    out_dir = (args.out or Path("results")) / run_id
+    _prepare_out(out_dir, directory=True)
 
     try:
         tables = run_paper_suite(

@@ -104,10 +104,6 @@ class EmptyInputError(QflakeError):
     """Threshold tuning received no scores."""
 
 
-class EmptyGridError(QflakeError):
-    """Grid search received an empty parameter grid."""
-
-
 class EmptyVocabularyError(QflakeError):
     """The training documents hold no token, so there is nothing to fit."""
 

@@ -1,5 +1,5 @@
-"""The pipeline fit, metrics, threshold tuning, stratified cross-validation,
-and grid search.
+"""The pipeline fit, metrics, threshold tuning and stratified
+cross-validation.
 
 The flaky class is the positive class throughout. Metrics whose
 denominator is zero are defined as 0 and flagged rather than propagating
@@ -18,7 +18,6 @@ from .classifiers import get_profile, predict_labels, train_model
 from .corpus import Corpus, stratified_folds
 from .errors import (
     ConfigError,
-    EmptyGridError,
     EmptyInputError,
     EmptyMatrixError,
     EmptyVocabularyError,
@@ -455,51 +454,3 @@ def cross_validate(
     """
     (result,) = cross_validate_all(corpus, (config,), n_folds=n_folds, seed=seed)
     return result
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    best_params: dict = field(hash=False)
-    best_mean_f1: float
-    results: tuple[tuple[dict, float], ...] = field(hash=False)
-
-
-def _config_for_point(base: PipelineConfig, point: dict) -> PipelineConfig:
-    """A grid point may carry 'pca_components' alongside model hyperparameters."""
-    point = dict(point)
-    pca = point.pop("pca_components", base.pca_components)
-    return replace(base, hyperparameters=point, pca_components=pca)
-
-
-def grid_search(
-    corpus: Corpus,
-    family: str,
-    param_grid,
-    n_folds: int = 5,
-    seed: int = 0,
-    base_config: PipelineConfig | None = None,
-) -> GridSearchResult:
-    """Flat grid search: every point is scored by cross-validated mean F1
-    on the same folds; ties go to the first point in declared order.
-    """
-    grid = [dict(p) for p in param_grid]
-    if not grid:
-        raise EmptyGridError("parameter grid is empty")
-    base = base_config or PipelineConfig(family=family, hyperparameters={})
-    outcomes = cross_validate_all(
-        corpus, [_config_for_point(base, p) for p in grid], n_folds=n_folds, seed=seed
-    )
-    results = []
-    best_idx = 0
-    best_f1 = -1.0
-    for idx, (point, outcome) in enumerate(zip(grid, outcomes)):
-        mean_f1 = outcome.aggregate.mean["f1"]
-        results.append((point, mean_f1))
-        if mean_f1 > best_f1:
-            best_f1 = mean_f1
-            best_idx = idx
-    return GridSearchResult(
-        best_params=grid[best_idx],
-        best_mean_f1=best_f1,
-        results=tuple(results),
-    )

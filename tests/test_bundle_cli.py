@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -314,19 +315,49 @@ def _tokenless(tmp_path, command):
     return [command, "--manifest", manifest, *args]
 
 
-def _out_is_directory(tmp_path, command):
-    """A trainable manifest, and for predict a saved bundle; --out names an
-    existing directory."""
+def _trainable_manifest(tmp_path):
     manifest = _labelled_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 4)
     for i, source in enumerate(sorted(tmp_path.glob("t*.py"))):
         source.write_text(f"def test_case{i}():\n    assert qubit_{i % 2} == expected\n")
+    return manifest
+
+
+def _out_is_directory(tmp_path, command):
+    """A trainable manifest, and for predict a saved bundle; --out names an
+    existing directory."""
+    manifest = _trainable_manifest(tmp_path)
     (tmp_path / "out_dir").mkdir()
     if command == "train":
         return ["train", "--manifest", manifest, "--family", "dt", "--out", tmp_path / "out_dir"]
+    if command == "ingest":
+        return ["ingest", "--manifest", manifest, "--out", tmp_path / "out_dir"]
     bundle = tmp_path / "bundle.json"
     assert cli.main(["train", "--manifest", str(manifest), "--family", "dt",
                      "--out", str(bundle)]) == 0
     return ["predict", "--bundle", bundle, tmp_path / "t0.py", "--out", tmp_path / "out_dir"]
+
+
+def _out_is_file(tmp_path, command):
+    """A trainable manifest; --out, where the command writes a directory,
+    names an existing regular file."""
+    manifest = _trainable_manifest(tmp_path)
+    (tmp_path / "out_file").write_text("taken\n")
+    args = {
+        "evaluate": ["--family", "dt", "--folds", 2],
+        "experiment": ["--folds", 2, "--models", "dt", "--methods", "vanilla"],
+    }[command]
+    return [command, "--manifest", manifest, *args, "--out", tmp_path / "out_file"]
+
+
+def _run_dir_is_file(tmp_path, _):
+    """A finished experiment's run directory replaced by a regular file."""
+    argv = ["experiment", "--manifest", _trainable_manifest(tmp_path), "--folds", 2,
+            "--models", "dt", "--methods", "vanilla", "--out", tmp_path / "out"]
+    assert cli.main([str(a) for a in argv]) == 0
+    (run_dir,) = (tmp_path / "out").iterdir()
+    shutil.rmtree(run_dir)
+    run_dir.write_text("taken\n")
+    return argv
 
 
 MALFORMED_INPUTS = {
@@ -354,6 +385,10 @@ MALFORMED_INPUTS = {
     "experiment-empty-vocabulary": (_tokenless, "experiment"),
     "train-out-is-directory": (_out_is_directory, "train"),
     "predict-out-is-directory": (_out_is_directory, "predict"),
+    "ingest-out-is-directory": (_out_is_directory, "ingest"),
+    "evaluate-out-is-file": (_out_is_file, "evaluate"),
+    "experiment-out-is-file": (_out_is_file, "experiment"),
+    "experiment-run-directory-is-file": (_run_dir_is_file, None),
 }
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflake.corpus import Corpus, CorpusEntry, Label
+from qflake.corpus import Label
 from qflake.errors import (
-    EmptyGridError,
     EmptyInputError,
     EmptyMatrixError,
     LengthMismatchError,
@@ -20,7 +19,6 @@ from qflake.eval import (
     compute_metrics,
     confusion,
     cross_validate,
-    grid_search,
     tune_threshold,
 )
 
@@ -281,75 +279,3 @@ class TestCrossValidate:
         result = cross_validate(tiny_corpus, config, n_folds=4, seed=5)
         for fr in result.folds:
             assert fr.threshold_curve is not None
-
-
-def three_region_corpus():
-    """1-D XOR-like corpus: flaky in the middle token-count band. One split
-    cannot separate it; two can.
-    """
-    entries = []
-    for i in range(12):
-        # band structure over the count of token "qq"
-        count = i % 6
-        flaky = 2 <= count <= 3
-        text = " ".join(["qq"] * count + ["pad", "pad"])
-        entries.append(
-            CorpusEntry(
-                f"e{i:02d}",
-                f"e{i}.py",
-                Label.FLAKY if flaky else Label.NONFLAKY,
-                "r",
-                text,
-            )
-        )
-    return Corpus(tuple(entries))
-
-
-class TestGridSearch:
-    def test_single_point(self, tiny_corpus):
-        result = grid_search(
-            tiny_corpus,
-            "dt",
-            [{"criterion": "gini", "max_depth": 3}],
-            n_folds=4,
-            seed=1,
-        )
-        assert result.best_params == {"criterion": "gini", "max_depth": 3}
-
-    def test_deeper_tree_wins_on_banded_data(self):
-        corpus = three_region_corpus()
-        result = grid_search(
-            corpus,
-            "dt",
-            [{"max_depth": 1}, {"max_depth": 10}],
-            n_folds=2,
-            seed=0,
-        )
-        assert result.best_params == {"max_depth": 10}
-        f1_by_depth = dict(
-            (p["max_depth"], f1) for p, f1 in result.results
-        )
-        assert f1_by_depth[10] > f1_by_depth[1]
-
-    def test_tie_goes_to_first_declared(self, tiny_corpus):
-        point_a = {"criterion": "entropy", "max_depth": 8}
-        point_b = {"criterion": "entropy", "max_depth": 8, "min_samples_leaf": 1}
-        result = grid_search(tiny_corpus, "dt", [point_a, point_b], n_folds=4, seed=1)
-        assert result.best_params is point_a or result.best_params == point_a
-
-    def test_empty_grid(self, tiny_corpus):
-        with pytest.raises(EmptyGridError):
-            grid_search(tiny_corpus, "dt", [], n_folds=4, seed=1)
-
-    def test_pca_components_searchable_jointly(self, tiny_corpus):
-        result = grid_search(
-            tiny_corpus,
-            "knn",
-            [
-                {"n_neighbors": 3, "pca_components": 5},
-                {"n_neighbors": 5, "pca_components": 10},
-            ],
-            n_folds=4,
-            seed=2,
-        )
-        assert "pca_components" in result.best_params

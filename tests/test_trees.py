@@ -1,13 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflake.classifiers import (
+    forest,
+    get_profile,
     impurity,
     train_decision_tree,
+    train_model,
     train_random_forest,
+    tree,
 )
-from qflake.classifiers.tree import tree_depth, tree_predict_proba
+from qflake.classifiers.tree import (
+    CRITERIA,
+    SplitSearch,
+    tree_depth,
+    tree_predict_proba,
+)
+from qflake.corpus import Label, stratified_folds
 from qflake.errors import EmptySetError, SpecInvalidError
+from qflake.resample import smote_resample
+from qflake.text import fit_vocabulary, tokenize, transform
+
+from dense_class_split import DenseSearch, dense_class_split
 
 
 def separable_set(seed=0, n=100):
@@ -21,6 +37,61 @@ def separable_set(seed=0, n=100):
     gap = X[y == 1].sum(axis=1).min() - X[y == 0].sum(axis=1).max()
     assert gap > 0, "blobs overlapped; pick another seed"
     return X, y
+
+
+def fold0_training_matrix(corpus, smote):
+    """Count matrix and labels of fold 0's training rows (4 folds, seed
+    3), after SMOTE when ``smote``."""
+    folds = stratified_folds(corpus, 4, seed=3)
+    train = [e for e in corpus if folds.assignment[e.id] != 0]
+    docs = [tokenize(e.text) for e in train]
+    X = transform(docs, fit_vocabulary(docs)).counts.astype(np.float64)
+    y = np.array([e.label is Label.FLAKY for e in train], dtype=np.int8)
+    if smote:
+        resampled = smote_resample(X, y, 5, seed=3)
+        X, y = resampled.X, resampled.y
+        assert not np.array_equal(X, X.round())  # fractional synthetic rows
+    return X, y
+
+
+COLUMN_KINDS = (
+    "normal", "rounded", "few_levels", "constant", "zero", "duplicate", "partition", "smote"
+)
+
+
+def make_columns(kinds, n, rng):
+    """One column per kind: continuous with negatives, rounded to one
+    decimal (repeats and zeros), three levels (heavy duplication), all
+    equal, all zero, a copy of the previous column, an equal-partition
+    column (every such column splits the rows into the same two sets, in
+    a different order within each side), and sparse counts with
+    SMOTE-like fractional interpolations."""
+    side = rng.permutation(n) < rng.integers(1, n) if n > 1 else np.ones(n, bool)
+    columns = []
+    for kind in kinds:
+        if kind == "normal":
+            col = rng.normal(size=n)
+        elif kind == "rounded":
+            col = rng.normal(size=n).round(1)
+        elif kind == "few_levels":
+            col = rng.integers(0, 3, n).astype(np.float64)
+        elif kind == "constant":
+            col = np.full(n, rng.normal())
+        elif kind == "zero":
+            col = np.zeros(n)
+        elif kind == "duplicate":
+            col = columns[-1].copy() if columns else np.zeros(n)
+        elif kind == "partition":
+            col = np.empty(n)
+            col[side] = rng.permutation(int(side.sum()))
+            col[~side] = side.sum() + rng.permutation(int((~side).sum()))
+            col -= rng.integers(0, 3) * side.sum()
+        else:
+            counts = rng.poisson(0.7, size=(2, n)).astype(np.float64)
+            u = rng.random(n) * (rng.random(n) < 0.5)
+            col = counts[0] + u * (counts[1] - counts[0])
+        columns.append(col)
+    return np.column_stack(columns)
 
 
 class TestImpurity:
@@ -186,3 +257,50 @@ class TestRandomForest:
         X, y = separable_set(seed=5, n=30)
         model = train_random_forest(X, y, {"n_estimators": 3}, seed=0)
         assert model.score(np.empty((0, 2))).shape == (0,)
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(1, 40),
+    kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=8),
+    criterion=st.sampled_from(CRITERIA),
+    min_samples_leaf=st.integers(1, 4),
+    bootstrap=st.booleans(),
+    flaky_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_split_matches_dense_search(
+    n, kinds, criterion, min_samples_leaf, bootstrap, flaky_share, seed
+):
+    """The table-driven search returns the dense search's (feature,
+    threshold), or None when it does, on a bootstrap sample (repeated
+    rows) or a subset of the rows, over a random sorted column subset."""
+    rng = np.random.default_rng(seed)
+    X = make_columns(kinds, n, rng)
+    y = (rng.random(n) < flaky_share).astype(np.int8)
+    if bootstrap:
+        idx = rng.integers(0, n, size=n)
+    else:
+        idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    d = X.shape[1]
+    feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+    expected = dense_class_split(X, y, idx, feats, criterion, min_samples_leaf)
+    found = SplitSearch(X, y, criterion).best_split(idx, feats, min_samples_leaf)
+    assert found == expected
+
+
+@pytest.mark.parametrize("family", ["dt", "rf"])
+@pytest.mark.parametrize("profile", ["paper_vanilla", "paper_smote"])
+def test_whole_fit_matches_dense_search(family, profile, tiny_corpus, monkeypatch):
+    """A fit on fold 0's training matrix, vanilla or after SMOTE, grows
+    the same trees whichever split search it uses."""
+    X, y = fold0_training_matrix(tiny_corpus, smote=profile == "paper_smote")
+    params = get_profile(family, profile).hyperparameters
+    model = train_model(family, X, y, params, seed=3)
+    monkeypatch.setattr(tree, "SplitSearch", DenseSearch)
+    monkeypatch.setattr(forest, "SplitSearch", DenseSearch)
+    reference = train_model(family, X, y, params, seed=3)
+
+    assert model.to_dict() == reference.to_dict()
+    roots = [model.root] if family == "dt" else model.trees
+    assert sum(not r.is_leaf for r in roots) > 0

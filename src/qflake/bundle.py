@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifiers import model_from_dict, model_to_dict
 from .corpus import Corpus
-from .errors import ConfigError, QflakeError
+from .errors import ConfigError
 from .eval import FittedPipeline, PipelineConfig, ThresholdCurve, fit_pipeline
 from .linalg import PcaModel
 from .text import Vocabulary, get_tokenizer_profile, tokenize
@@ -109,11 +109,13 @@ class ModelBundle:
             raise ConfigError(
                 f"{path}: cannot read model bundle ({exc.strerror or exc})"
             ) from None
+        # QflakeError is a ValueError; json.loads recurses once per nesting
+        # level, so a deeply nested file raises RecursionError
         try:
             return cls.from_dict(json.loads(text))
-        except QflakeError:
-            raise
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (
+            ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError
+        ) as exc:
             raise ConfigError(
                 f"{path}: not a valid model bundle ({type(exc).__name__}: {exc})"
             ) from None

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import REQUIRED, check_scoring_input, check_training_data, sigmoid, validate_params
-from .tree import TreeNode, tree_predict_value
+from .tree import FlatTrees, TreeNode
 
 _LAMBDA = 1.0
 
@@ -114,23 +114,30 @@ class ExactBins:
             self._room -= size
         return found
 
-    def grow(self, g, h, max_depth, lam=_LAMBDA) -> TreeNode:
-        """Grow one regression tree on gradients/hessians."""
+    def grow(self, g, h, max_depth, lam=_LAMBDA) -> tuple[TreeNode, np.ndarray]:
+        """Grow one regression tree on gradients/hessians. Returns the tree
+        and each training row's leaf value, read off the partition, so no
+        tree is walked to update the raw scores."""
         n_bins = self.bin_value.size
         cell_g = g[self.cell_row]
         cell_h = h[self.cell_row]
         prefix_g = np.zeros(n_bins + 1)
         prefix_h = np.zeros(n_bins + 1)
+        row_value = np.empty(g.size)
+
+        def leaf(rows, value):
+            row_value[rows] = value
+            return TreeNode(value=value)
 
         def build(key, rows, cells, depth):
             g_sum = float(g[rows].sum())
             h_sum = float(h[rows].sum())
-            leaf = TreeNode(value=-g_sum / (h_sum + lam))
+            value = -g_sum / (h_sum + lam)
             if depth >= max_depth or rows.size < 2:
-                return leaf
+                return leaf(rows, value)
             cell_bin, lo, start, hi = self._candidates(key, rows, cells)
             if lo.size == 0:
-                return leaf
+                return leaf(rows, value)
             g_hist = np.bincount(cell_bin, cell_g[cells], n_bins)
             h_hist = np.bincount(cell_bin, cell_h[cells], n_bins)
             g_hist[self.zero_bin] = g_sum - np.add.reduceat(g_hist, self.col_start)
@@ -145,7 +152,7 @@ class ExactBins:
             best_raw = gain.max()
             best = 0.5 * (best_raw - g_sum**2 / (h_sum + lam))
             if not best > 0.0:
-                return leaf
+                return leaf(rows, value)
             # raw gains are twice the gains; the first tie wins
             k = int(np.argmax(gain >= best_raw - 2e-9 * max(1.0, abs(best))))
             j = int(self.bin_col[lo[k]])
@@ -164,7 +171,7 @@ class ExactBins:
         # and prefix arrays alive until the cyclic collector runs (peak RSS
         # grew 13% on a paper-suite pass); emptying the cell frees them now
         del build
-        return tree
+        return tree, row_value
 
 
 @dataclass
@@ -173,18 +180,22 @@ class GradientBoostingModel:
     base_raw: float          # initial raw score F0 (log-odds of base rate)
     prior: float             # base rate of the flaky class
     learning_rate: float
-    trees: list[TreeNode]
+    flat: FlatTrees
     n_features: int
     params: dict
     seed: int | None = None
     flags: tuple[str, ...] = ()
 
+    @property
+    def trees(self) -> list[TreeNode]:
+        return self.flat.to_nodes()
+
     def raw_score(self, X) -> np.ndarray:
         X = check_scoring_input(X, self.n_features)
-        out = np.full(X.shape[0], self.base_raw, dtype=np.float64)
-        for tree in self.trees:
-            out += self.learning_rate * tree_predict_value(tree, X)
-        return out
+        steps = self.learning_rate * self.flat.leaf_values(X)
+        start = np.full((1, X.shape[0]), self.base_raw, dtype=np.float64)
+        # cumsum adds round by round onto the base score, as boosting did
+        return np.cumsum(np.concatenate([start, steps]), axis=0)[-1]
 
     def score(self, X) -> np.ndarray:
         if "degenerate_labels" in self.flags:
@@ -198,7 +209,7 @@ class GradientBoostingModel:
             "base_raw": float(self.base_raw),
             "prior": float(self.prior),
             "learning_rate": float(self.learning_rate),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.flat.to_dicts(),
             "n_features": int(self.n_features),
             "params": dict(self.params),
             "seed": self.seed,
@@ -207,12 +218,13 @@ class GradientBoostingModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GradientBoostingModel":
+        n_features = int(d["n_features"])
         return cls(
             base_raw=float(d["base_raw"]),
             prior=float(d["prior"]),
             learning_rate=float(d["learning_rate"]),
-            trees=[TreeNode.from_dict(t) for t in d["trees"]],
-            n_features=int(d["n_features"]),
+            flat=FlatTrees.from_dicts(d["trees"], n_features, classification=False),
+            n_features=n_features,
             params=dict(d["params"]),
             seed=d.get("seed"),
             flags=tuple(d.get("flags", ())),
@@ -231,7 +243,7 @@ def train_gbt(X, y, params=None, seed=0) -> GradientBoostingModel:
             base_raw=0.0,
             prior=prior,
             learning_rate=float(resolved["learning_rate"]),
-            trees=[],
+            flat=FlatTrees.from_nodes([], classification=False),
             n_features=X.shape[1],
             params=resolved,
             seed=seed,
@@ -247,14 +259,14 @@ def train_gbt(X, y, params=None, seed=0) -> GradientBoostingModel:
         p = sigmoid(raw)
         g = p - yf
         h = p * (1.0 - p)
-        tree = bins.grow(g, h, resolved["max_depth"])
-        raw += lr * tree_predict_value(tree, X)
+        tree, row_value = bins.grow(g, h, resolved["max_depth"])
+        raw += lr * row_value
         trees.append(tree)
     return GradientBoostingModel(
         base_raw=base_raw,
         prior=prior,
         learning_rate=lr,
-        trees=trees,
+        flat=FlatTrees.from_nodes(trees, classification=False),
         n_features=X.shape[1],
         params=resolved,
         seed=seed,

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import SpecInvalidError
 from ..seeding import STREAM_MODEL, rng_for
 from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
-from .tree import CRITERIA, SplitSearch, TreeNode, grow_class_tree, tree_predict_proba
+from .tree import CRITERIA, FlatTrees, SplitSearch, TreeNode, grow_class_tree
 
 _RF_PARAMS = {
     "n_estimators": (REQUIRED, lambda v: isinstance(v, int) and v >= 1),
@@ -29,25 +30,26 @@ _RF_PARAMS = {
 @dataclass
 class RandomForestModel:
     family = "rf"
-    trees: list[TreeNode]
+    flat: FlatTrees
     n_features: int
     params: dict
     seed: int | None = None
     flags: tuple[str, ...] = ()
 
+    @property
+    def trees(self) -> list[TreeNode]:
+        return self.flat.to_nodes()
+
     def score(self, X) -> np.ndarray:
         X = check_scoring_input(X, self.n_features)
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree_predict_proba(tree, X)
-        return acc / len(self.trees)
+        # cumsum adds tree by tree, in the order the trees were grown
+        total = np.cumsum(self.flat.leaf_values(X), axis=0)[-1]
+        return total / self.flat.roots.size
 
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.flat.to_dicts(),
             "n_features": int(self.n_features),
             "params": dict(self.params),
             "seed": self.seed,
@@ -56,9 +58,12 @@ class RandomForestModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForestModel":
+        n_features = int(d["n_features"])
+        if not d["trees"]:
+            raise SpecInvalidError("rf model payload holds no trees")
         return cls(
-            trees=[TreeNode.from_dict(t) for t in d["trees"]],
-            n_features=int(d["n_features"]),
+            flat=FlatTrees.from_dicts(d["trees"], n_features, classification=True),
+            n_features=n_features,
             params=dict(d["params"]),
             seed=d.get("seed"),
             flags=tuple(d.get("flags", ())),
@@ -88,5 +93,8 @@ def train_random_forest(X, y, params=None, seed=0) -> RandomForestModel:
             )
         )
     return RandomForestModel(
-        trees=trees, n_features=d, params=resolved, seed=seed
+        flat=FlatTrees.from_nodes(trees, classification=True),
+        n_features=d,
+        params=resolved,
+        seed=seed,
     )

@@ -1,4 +1,5 @@
-"""Decision trees: impurity measures, greedy growth, and prediction.
+"""Decision trees: impurity measures, greedy growth, and the flat tree
+format that dt, rf and xgb models are stored and scored in.
 
 Split candidates are midpoints between consecutive distinct sorted values
 of each feature; the winning split maximizes impurity decrease with ties
@@ -13,6 +14,21 @@ values and prefix flaky counts. Only boundaries between distinct values
 that leave at least ``min_samples_leaf`` rows on each side are scored,
 each by three table lookups, so a gain is the same arithmetic on the same
 values as evaluating impurity at every row boundary would be.
+
+Growers build ``TreeNode``s; a fit flattens all of its model's trees once
+into one ``FlatTrees``: parallel node arrays ``feature``, ``threshold``,
+``left``, ``right`` and leaf ``value``, one root index per tree, and the
+deepest tree's depth. A bundle's nested dicts are parsed straight into the
+arrays with an explicit stack, and written back from them. Scoring moves
+every (tree, row) pair one level per step, all pairs at once:
+``go = X[row, feature[node]] <= threshold[node]``, then
+``node = where(go, left, right)``. A leaf's children are the leaf itself
+(its feature is column 0, which exists whenever a tree has a split), so a
+pair that reaches a leaf early stays there, and after ``depth`` steps every
+pair sits at its leaf, whatever its own tree's depth, with no test for
+leaves in the loop. The comparisons and leaf values are the ones a
+recursive walk makes; forests and boosting add the per-tree values in tree
+order, so scores are bit-identical to adding one tree at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +62,8 @@ def impurity(labels, criterion: str) -> float:
 
 @dataclass
 class TreeNode:
-    """Internal node (feature/threshold/left/right) or leaf.
+    """Internal node (feature/threshold/left/right) or leaf, as growers
+    build them.
 
     Classification leaves carry ``distribution`` (nonflaky, flaky)
     fractions; regression leaves used by boosting carry ``value``.
@@ -64,31 +81,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            if self.distribution is not None:
-                return {"dist": [float(self.distribution[0]), float(self.distribution[1])]}
-            return {"value": float(self.value)}
-        return {
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "feature" in d:
-            return cls(
-                feature=int(d["feature"]),
-                threshold=float(d["threshold"]),
-                left=cls.from_dict(d["left"]),
-                right=cls.from_dict(d["right"]),
-            )
-        if "dist" in d:
-            return cls(distribution=(float(d["dist"][0]), float(d["dist"][1])))
-        return cls(value=float(d["value"]))
-
 
 def tree_depth(node: TreeNode) -> int:
     if node.is_leaf:
@@ -96,27 +88,204 @@ def tree_depth(node: TreeNode) -> int:
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
-def _fill_predictions(node: TreeNode, X, idx, out, leaf_value):
-    if node.is_leaf:
-        out[idx] = leaf_value(node)
-        return
-    go_left = X[idx, node.feature] <= node.threshold
-    _fill_predictions(node.left, X, idx[go_left], out, leaf_value)
-    _fill_predictions(node.right, X, idx[~go_left], out, leaf_value)
+def _check_types(values, types, what):
+    """Raise SpecInvalidError naming the first of ``values`` whose type is
+    not in ``types`` (bool is its own type, so True is no number)."""
+    if not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise SpecInvalidError(f"{what}, got {bad!r}")
 
 
-def tree_predict_proba(node: TreeNode, X) -> np.ndarray:
-    """Per-row flaky-class probability from leaf distributions."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    _fill_predictions(node, X, np.arange(X.shape[0]), out, lambda n: n.distribution[1])
-    return out
+_NUMBER = {int, float}
 
 
-def tree_predict_value(node: TreeNode, X) -> np.ndarray:
-    """Per-row regression output from leaf values (boosting trees)."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    _fill_predictions(node, X, np.arange(X.shape[0]), out, lambda n: n.value)
-    return out
+def _preorder(trees, split, leaf):
+    """Walk ``trees`` in pre-order with an explicit stack.
+
+    ``split(node)`` gives an internal node's (feature, threshold, left,
+    right) and None for a leaf; ``leaf(node)`` gives a leaf's value, or its
+    (nonflaky, flaky) pair. Returns per-node feature, threshold and right
+    child lists, the leaves' node indices and ``leaf`` results, each tree's
+    root index, and the deepest leaf's level. An internal node's left
+    child is the next node; its right child's index is recorded when that
+    child is popped.
+    """
+    feature, threshold, right, leaf_at, leaves, roots = [], [], [], [], [], []
+    depth = 0
+    for tree in trees:
+        roots.append(len(feature))
+        stack = [(tree, -1, 0)]
+        while stack:
+            node, parent, level = stack.pop()
+            i = len(feature)
+            if parent >= 0:
+                right[parent] = i
+            right.append(i)
+            found = split(node)
+            if found is None:
+                feature.append(0)
+                threshold.append(0.0)
+                leaf_at.append(i)
+                leaves.append(leaf(node))
+                depth = max(depth, level)
+            else:
+                f, t, lo, hi = found
+                feature.append(f)
+                threshold.append(t)
+                stack.append((hi, i, level + 1))
+                stack.append((lo, -1, level + 1))
+    return feature, threshold, right, leaf_at, leaves, roots, depth
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTrees:
+    """All trees of one model as flat node arrays, nodes in pre-order.
+
+    ``value`` is a leaf's score: its flaky fraction, or its regression
+    value. Classification leaves also keep their nonflaky fraction in
+    ``nonflaky``, which is None for regression trees. Internal nodes hold
+    0.0 in both; leaves hold feature 0, threshold 0.0 and themselves as
+    children.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    nonflaky: np.ndarray | None
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def _from_lists(cls, classification, feature, threshold, right, leaf_at, leaves, roots, depth):
+        """Arrays from ``_preorder``'s lists: a leaf is its own left
+        child, an internal node's left child is the next node."""
+        n = len(feature)
+        leaf_at = np.array(leaf_at, dtype=np.intp)
+        left = np.arange(1, n + 1, dtype=np.intp)
+        left[leaf_at] = leaf_at
+        leaf_values = np.array(leaves, dtype=np.float64).reshape(leaf_at.size, 1 + classification)
+        value = np.zeros(n)
+        value[leaf_at] = leaf_values[:, -1]
+        nonflaky = None
+        if classification:
+            nonflaky = np.zeros(n)
+            nonflaky[leaf_at] = leaf_values[:, 0]
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=left,
+            right=np.array(right, dtype=np.intp),
+            value=value,
+            nonflaky=nonflaky,
+            roots=np.array(roots, dtype=np.intp),
+            depth=depth,
+        )
+
+    @classmethod
+    def from_nodes(cls, trees, classification: bool) -> "FlatTrees":
+        """Flatten grown ``TreeNode`` trees."""
+
+        def split(node):
+            if node.is_leaf:
+                return None
+            return node.feature, node.threshold, node.left, node.right
+
+        def leaf(node):
+            return node.distribution if classification else node.value
+
+        return cls._from_lists(classification, *_preorder(trees, split, leaf))
+
+    @classmethod
+    def from_dicts(cls, payloads, n_features: int, classification: bool) -> "FlatTrees":
+        """Parse saved nested tree dicts, checking every node: an
+        internal node needs an integer feature in [0, n_features) and a
+        finite threshold; a leaf needs a ``dist`` of two finite numbers
+        (classification) or a finite ``value``. An index out of range
+        would silently read another row's column, not fail."""
+        key = "dist" if classification else "value"
+
+        def split(node):
+            if "feature" not in node:
+                return None
+            return node["feature"], node["threshold"], node["left"], node["right"]
+
+        parts = _preorder(payloads, split, lambda node: node.get(key))
+        feature, threshold, _, _, leaves, _, _ = parts
+        _check_types(feature, {int}, "tree feature must be an integer")
+        _check_types(threshold, _NUMBER, "tree threshold must be a number")
+        if classification:
+            _check_types(leaves, {list}, "tree leaf needs a dist of two numbers")
+            if any(len(v) != 2 for v in leaves):
+                bad = next(v for v in leaves if len(v) != 2)
+                raise SpecInvalidError(f"tree leaf needs a dist of two numbers, got {bad!r}")
+            leaves = [x for v in leaves for x in v]
+        _check_types(leaves, _NUMBER, f"tree leaf needs a numeric {key}")
+
+        flat = cls._from_lists(classification, *parts)
+        internal = flat.left != np.arange(flat.left.size)
+        used = flat.feature[internal]
+        bad = used[(used < 0) | (used >= n_features)]
+        if bad.size:
+            raise SpecInvalidError(
+                f"tree feature {bad[0]} is not a column index below {n_features}"
+            )
+        numbers = [flat.threshold, flat.value]
+        if classification:
+            numbers.append(flat.nonflaky)
+        if not all(np.isfinite(a).all() for a in numbers):
+            raise SpecInvalidError("tree thresholds and leaf values must be finite")
+        return flat
+
+    def _rebuild(self, leaf, internal):
+        """One object per node, children before parents (pre-order puts
+        them after), so no recursion; returns each tree's root object."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        value = self.value.tolist()
+        nonflaky = None if self.nonflaky is None else self.nonflaky.tolist()
+        built = [None] * len(feature)
+        for i in reversed(range(len(feature))):
+            if left[i] == i:
+                built[i] = leaf(value[i] if nonflaky is None else (nonflaky[i], value[i]))
+            else:
+                built[i] = internal(feature[i], threshold[i], built[left[i]], built[right[i]])
+        return [built[r] for r in self.roots.tolist()]
+
+    def to_dicts(self) -> list[dict]:
+        """Each tree as the nested dicts a bundle stores."""
+
+        def leaf(v):
+            return {"value": v} if self.nonflaky is None else {"dist": list(v)}
+
+        def internal(f, t, lo, hi):
+            return {"feature": f, "threshold": t, "left": lo, "right": hi}
+
+        return self._rebuild(leaf, internal)
+
+    def to_nodes(self) -> list[TreeNode]:
+        """Each tree as ``TreeNode``s, rebuilt from the arrays."""
+
+        def leaf(v):
+            if self.nonflaky is None:
+                return TreeNode(value=v)
+            return TreeNode(distribution=v)
+
+        def internal(f, t, lo, hi):
+            return TreeNode(feature=f, threshold=t, left=lo, right=hi)
+
+        return self._rebuild(leaf, internal)
+
+    def leaf_values(self, X) -> np.ndarray:
+        """Each tree's leaf value for each row of X, shape (trees, rows):
+        every (tree, row) pair takes ``depth`` steps at once."""
+        rows = np.arange(X.shape[0])
+        node = np.repeat(self.roots[:, None], rows.size, axis=1)
+        for _ in range(self.depth):
+            go = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go, self.left[node], self.right[node])
+        return self.value[node]
 
 
 def _impurity_from_fraction(p, criterion: str):
@@ -248,20 +417,24 @@ _DT_PARAMS = {
 @dataclass
 class DecisionTreeModel:
     family = "dt"
-    root: TreeNode
+    flat: FlatTrees
     n_features: int
     params: dict
     seed: int | None = None
     flags: tuple[str, ...] = ()
 
+    @property
+    def root(self) -> TreeNode:
+        return self.flat.to_nodes()[0]
+
     def score(self, X) -> np.ndarray:
         X = check_scoring_input(X, self.n_features)
-        return tree_predict_proba(self.root, X)
+        return self.flat.leaf_values(X)[0]
 
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "root": self.root.to_dict(),
+            "root": self.flat.to_dicts()[0],
             "n_features": int(self.n_features),
             "params": dict(self.params),
             "seed": self.seed,
@@ -270,9 +443,10 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTreeModel":
+        n_features = int(d["n_features"])
         return cls(
-            root=TreeNode.from_dict(d["root"]),
-            n_features=int(d["n_features"]),
+            flat=FlatTrees.from_dicts([d["root"]], n_features, classification=True),
+            n_features=n_features,
             params=dict(d["params"]),
             seed=d.get("seed"),
             flags=tuple(d.get("flags", ())),
@@ -290,5 +464,8 @@ def train_decision_tree(X, y, params=None, seed=0) -> DecisionTreeModel:
         min_samples_split=resolved["min_samples_split"],
     )
     return DecisionTreeModel(
-        root=root, n_features=X.shape[1], params=resolved, seed=seed
+        flat=FlatTrees.from_nodes([root], classification=True),
+        n_features=X.shape[1],
+        params=resolved,
+        seed=seed,
     )

@@ -107,13 +107,17 @@ def transform(docs, vocab: Vocabulary, row_ids=None) -> DocTermMatrix:
     """
     docs = list(docs)
     mapping = vocab.token_to_col
-    counts = np.zeros((len(docs), len(vocab)), dtype=np.int64)
-    for i, doc in enumerate(docs):
-        row = counts[i]
-        for token in doc:
-            j = mapping.get(token)
-            if j is not None:
-                row[j] += 1
+    width = len(vocab)
+    # one flat cell index per in-vocabulary occurrence, counted at once
+    cells = [
+        i * width + j
+        for i, doc in enumerate(docs)
+        for j in map(mapping.get, doc)
+        if j is not None
+    ]
+    counts = np.bincount(
+        np.array(cells, dtype=np.int64), minlength=len(docs) * width
+    ).astype(np.int64, copy=False).reshape(len(docs), width)
     if row_ids is None:
         row_ids = tuple(str(i) for i in range(len(docs)))
     return DocTermMatrix(counts=counts, row_ids=tuple(row_ids))

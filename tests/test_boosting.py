@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflake.classifiers import boosting, get_profile, sigmoid, train_gbt
-from qflake.classifiers.tree import tree_depth, tree_predict_value
+from qflake.classifiers.tree import tree_depth
 from qflake.errors import DimensionMismatchError, SpecInvalidError
 
 from presorted_grower import grow_presorted_tree
+from recursive_predict import recursive_score, tree_predict_value
 from test_trees import COLUMN_KINDS, fold0_training_matrix, make_columns, separable_set
 
 LAM = 1.0
@@ -49,6 +50,7 @@ class TestGradientBoosting:
             X, y, {"learning_rate": 0.5, "max_depth": 2, "n_estimators": 10}
         )
         assert "degenerate_labels" in model.flags
+        assert model.trees == [] and model.flat.roots.size == 0
         assert np.allclose(model.score(np.array([[99.0]])), 1.0)
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 10, 13])
@@ -67,7 +69,7 @@ class TestGradientBoosting:
         for j in range(2):
             X[:k, j] = rng.permutation(k)
             X[k:, j] = k + rng.permutation(n - k)
-        tree = boosting.ExactBins(X).grow(g, h, max_depth=1)
+        tree, _ = boosting.ExactBins(X).grow(g, h, max_depth=1)
         assert tree.threshold == k - 0.5
         assert tree.feature == 0
 
@@ -155,7 +157,8 @@ class PresortedBins:
         self.X = X
 
     def grow(self, g, h, max_depth, lam=LAM):
-        return grow_presorted_tree(self.X, g, h, max_depth, lam)
+        tree = grow_presorted_tree(self.X, g, h, max_depth, lam)
+        return tree, tree_predict_value(tree, self.X)
 
 
 def assert_same_tree(tree, reference):
@@ -180,9 +183,10 @@ def assert_same_tree(tree, reference):
 )
 def test_exact_bins_grow_the_presorted_tree(n, kinds, max_depth, constant_p, seed):
     """The exact sparse-histogram grower builds the presorted reference
-    grower's tree, round after round from the same bins. ``constant_p``
-    gives the first round's gradients: one score for every row, so many
-    splits tie exactly."""
+    grower's tree, round after round from the same bins, and each row's
+    leaf value is the one walking the tree gives. ``constant_p`` gives the
+    first round's gradients: one score for every row, so many splits tie
+    exactly."""
     rng = np.random.default_rng(seed)
     X = make_columns(kinds, n, rng)
     y = rng.random(n) < 0.4
@@ -192,8 +196,10 @@ def test_exact_bins_grow_the_presorted_tree(n, kinds, max_depth, constant_p, see
         g = p - y
         h = p * (1.0 - p)
         reference = grow_presorted_tree(X, g, h, max_depth)
-        assert_same_tree(bins.grow(g, h, max_depth), reference)
-        assert_same_tree(boosting.ExactBins(X).grow(g, h, max_depth), reference)
+        tree, row_value = bins.grow(g, h, max_depth)
+        assert_same_tree(tree, reference)
+        assert np.array_equal(row_value, tree_predict_value(tree, X))
+        assert_same_tree(boosting.ExactBins(X).grow(g, h, max_depth)[0], reference)
 
 
 @pytest.mark.parametrize("profile", ["paper_vanilla", "paper_smote"])
@@ -212,3 +218,4 @@ def test_whole_fit_matches_presorted_grower(profile, tiny_corpus, monkeypatch):
         assert_same_tree(tree, ref)
     assert sum(not t.is_leaf for t in model.trees) > 0
     assert np.allclose(model.score(X), reference.score(X), rtol=1e-12, atol=0)
+    assert np.array_equal(model.score(X), recursive_score(model, X))

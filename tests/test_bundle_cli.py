@@ -8,6 +8,7 @@ import pytest
 
 from qflake import cli, linalg
 from qflake.bundle import ModelBundle, train_bundle
+from qflake.corpus import Corpus, Label
 from qflake.eval import PipelineConfig, ThresholdPolicy
 
 
@@ -22,13 +23,25 @@ def run_cli(*args, cwd=None):
 
 class TestBundle:
     def test_save_load_save_is_byte_stable(self, tiny_corpus, tmp_path):
-        config = PipelineConfig.from_profile("dt", "paper_vanilla")
-        bundle = train_bundle(tiny_corpus, config, seed=3)
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        bundle.save(p1)
-        ModelBundle.load(p1).save(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        """dt, rf and xgb bundles, vanilla and SMOTE, and an xgb bundle
+        trained on one class (no trees) save identical bytes after a load."""
+        nonflaky = Corpus(tuple(e for e in tiny_corpus if e.label is Label.NONFLAKY))
+        cases = [
+            (tiny_corpus, family, profile)
+            for family in ("dt", "rf", "xgb")
+            for profile in ("paper_vanilla", "paper_smote")
+        ] + [(nonflaky, "xgb", "paper_vanilla")]
+        for corpus, family, profile in cases:
+            config = PipelineConfig.from_profile(family, profile, smote=profile == "paper_smote")
+            bundle = train_bundle(corpus, config, seed=3)
+            assert bundle.metadata["smote"] is (profile == "paper_smote")
+            one_class = bundle.to_dict()["model"]["flags"] == ["degenerate_labels"]
+            assert one_class is (corpus is nonflaky)
+            p1 = tmp_path / f"{family}-{profile}-{len(corpus)}.a.json"
+            p2 = tmp_path / f"{family}-{profile}-{len(corpus)}.b.json"
+            bundle.save(p1)
+            ModelBundle.load(p1).save(p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_retrain_same_seed_identical_bytes(self, tiny_corpus, tmp_path):
         config = PipelineConfig.from_profile("xgb", "paper_vanilla")
@@ -268,6 +281,25 @@ def _bundle_at(tmp_path, name):
     return ["predict", "--bundle", tmp_path / name, tmp_path / "a.py"]
 
 
+def _tampered_bundle(tmp_path, payload):
+    """A trained bundle whose model payload ``edit`` changed."""
+    family, edit = payload
+    manifest = _trainable_manifest(tmp_path)
+    bundle = tmp_path / "bundle.json"
+    assert cli.main(["train", "--manifest", str(manifest), "--family", family,
+                     "--out", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    edit(data["model"])
+    bundle.write_text(json.dumps(data))
+    return ["predict", "--bundle", bundle, tmp_path / "t0.py"]
+
+
+def _split_root(model, feature=0, threshold=0.5):
+    """Put one split over the dt model's root: both children are the old root."""
+    leaf = model["root"]
+    model["root"] = {"feature": feature, "threshold": threshold, "left": leaf, "right": leaf}
+
+
 def _labelled_manifest(tmp_path, labels):
     records = []
     for i, label in enumerate(labels):
@@ -368,6 +400,21 @@ MALFORMED_INPUTS = {
     "bundle-missing-keys": (_bundle_with, '{"format_version": 1}'),
     "bundle-missing-file": (_bundle_at, "missing.json"),
     "bundle-unreadable": (_bundle_at, "a_directory"),
+    "bundle-nested-too-deep": (_bundle_with, "[" * 5000 + "]" * 5000),
+    "bundle-tree-feature-out-of-range": (
+        _tampered_bundle, ("dt", lambda m: _split_root(m, feature=m["n_features"]))
+    ),
+    "bundle-tree-feature-negative": (_tampered_bundle, ("dt", lambda m: _split_root(m, -1))),
+    "bundle-tree-threshold-not-finite": (
+        _tampered_bundle, ("dt", lambda m: _split_root(m, threshold=float("nan")))
+    ),
+    "bundle-tree-leaf-without-dist": (
+        _tampered_bundle, ("dt", lambda m: m.update(root={"value": 0.3}))
+    ),
+    "bundle-forest-without-trees": (_tampered_bundle, ("rf", lambda m: m.update(trees=[]))),
+    "bundle-boosting-leaf-without-value": (
+        _tampered_bundle, ("xgb", lambda m: m.update(trees=[{"dist": [0.5, 0.5]}]))
+    ),
     "experiment-empty-manifest": (_experiment_on, []),
     "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
     "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),

@@ -102,3 +102,35 @@ def test_permuting_documents_permutes_rows(docs, seed):
     perm = np.random.default_rng(seed).permutation(len(docs))
     m_perm = transform([docs[i] for i in perm], vocab)
     assert np.array_equal(m_perm.counts, m.counts[perm])
+
+
+def per_token_counts(docs, vocab):
+    """The per-token counting loop ``transform`` is checked against."""
+    mapping = vocab.token_to_col
+    counts = np.zeros((len(docs), len(vocab)), dtype=np.int64)
+    for i, doc in enumerate(docs):
+        for token in doc:
+            j = mapping.get(token)
+            if j is not None:
+                counts[i, j] += 1
+    return counts
+
+
+@settings(max_examples=100)
+@given(
+    vocab_docs=token_lists,
+    docs=st.lists(
+        st.lists(st.text(alphabet="abcdefg_", min_size=1, max_size=3), max_size=15),
+        max_size=8,
+    ),
+)
+def test_counts_equal_per_token_loop(vocab_docs, docs):
+    """Out-of-vocabulary tokens (letters f and g never enter the
+    vocabulary), repeated tokens, empty documents and no documents at
+    all count as the per-token loop counts them, in the same dtype."""
+    vocab = fit_vocabulary(vocab_docs)
+    m = transform(docs, vocab)
+    expected = per_token_counts(docs, vocab)
+    assert m.counts.dtype == expected.dtype
+    assert m.counts.shape == expected.shape
+    assert np.array_equal(m.counts, expected)

@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflake.classifiers import (
+    DecisionTreeModel,
+    GradientBoostingModel,
+    RandomForestModel,
     forest,
     get_profile,
     impurity,
+    model_from_dict,
     train_decision_tree,
     train_model,
     train_random_forest,
@@ -14,9 +18,10 @@ from qflake.classifiers import (
 )
 from qflake.classifiers.tree import (
     CRITERIA,
+    FlatTrees,
     SplitSearch,
+    TreeNode,
     tree_depth,
-    tree_predict_proba,
 )
 from qflake.corpus import Label, stratified_folds
 from qflake.errors import EmptySetError, SpecInvalidError
@@ -24,6 +29,7 @@ from qflake.resample import smote_resample
 from qflake.text import fit_vocabulary, tokenize, transform
 
 from dense_class_split import DenseSearch, dense_class_split
+from recursive_predict import node_to_dict, recursive_score, tree_predict_proba
 
 
 def separable_set(seed=0, n=100):
@@ -304,3 +310,83 @@ def test_whole_fit_matches_dense_search(family, profile, tiny_corpus, monkeypatc
     assert model.to_dict() == reference.to_dict()
     roots = [model.root] if family == "dt" else model.trees
     assert sum(not r.is_leaf for r in roots) > 0
+    assert np.array_equal(model.score(X), recursive_score(model, X))
+
+
+def random_tree(rng, X, depth, classification):
+    """A random tree of at most ``depth`` levels over X's columns. Most
+    thresholds are values some row of X holds, so rows land exactly on
+    them and the ``<=`` side matters."""
+    if depth == 0 or rng.random() < 0.3:
+        if classification:
+            m = int(rng.integers(1, 60))
+            k = int(rng.integers(0, m + 1))
+            return TreeNode(distribution=((m - k) / m, k / m))
+        return TreeNode(value=float(rng.normal()))
+    j = int(rng.integers(X.shape[1]))
+    threshold = float(rng.choice(X[:, j])) if rng.random() < 0.8 else float(rng.normal())
+    return TreeNode(
+        feature=j,
+        threshold=threshold,
+        left=random_tree(rng, X, depth - 1, classification),
+        right=random_tree(rng, X, depth - 1, classification),
+    )
+
+
+@settings(max_examples=300)
+@given(
+    family=st.sampled_from(["dt", "rf", "xgb", "xgb-degenerate"]),
+    n_trees=st.integers(0, 40),
+    n_rows=st.integers(1, 12),
+    n_features=st.integers(1, 5),
+    max_depth=st.integers(0, 6),
+    with_stump=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_scores_equal_recursive_walk(
+    family, n_trees, n_rows, n_features, max_depth, with_stump, seed
+):
+    """Scores from the flat arrays equal the recursive walk's bit for bit,
+    on all rows at once and on each row alone, for trees of mixed depth
+    (a single-leaf tree among them when ``with_stump``), before and after
+    a round trip through the bundle's nested dicts; the rebuilt nodes and
+    the written dicts are the ones the trees were built from."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_rows, n_features)).round(1)
+    classification = family in ("dt", "rf")
+    if family == "dt":
+        n_trees = 1
+    elif family == "rf":
+        n_trees = max(n_trees, 1)
+    elif family == "xgb-degenerate":
+        n_trees = 0
+    trees = [random_tree(rng, X, max_depth, classification) for _ in range(n_trees)]
+    if with_stump and trees:
+        trees[int(rng.integers(n_trees))] = random_tree(rng, X, 0, classification)
+    flat = FlatTrees.from_nodes(trees, classification=classification)
+    assert flat.depth == max((tree_depth(t) for t in trees), default=0)
+    common = {"flat": flat, "n_features": n_features, "params": {}, "seed": seed}
+    if family == "dt":
+        model = DecisionTreeModel(**common)
+        assert model.root == trees[0]
+        assert model.to_dict()["root"] == node_to_dict(trees[0])
+    elif family == "rf":
+        model = RandomForestModel(**common)
+    else:
+        model = GradientBoostingModel(
+            base_raw=float(rng.normal()),
+            prior=float(rng.random()),
+            learning_rate=float(rng.uniform(0.01, 1.0)),
+            flags=("degenerate_labels",) if family == "xgb-degenerate" else (),
+            **common,
+        )
+    if family != "dt":
+        assert model.trees == trees
+        assert model.to_dict()["trees"] == [node_to_dict(t) for t in trees]
+
+    reloaded = model_from_dict(model.to_dict())
+    assert reloaded.to_dict() == model.to_dict()
+    for m in (model, reloaded):
+        assert np.array_equal(m.score(X), recursive_score(m, X))
+        for i in range(n_rows):
+            assert np.array_equal(m.score(X[i : i + 1]), recursive_score(m, X[i : i + 1]))

@@ -2,10 +2,19 @@
 trained model, decision threshold, and training metadata.
 
 Bundles are canonical JSON (sorted keys, two-space indent, shortest
-round-trip float decimals), so save -> load -> save is byte-stable and a
-retrain with the same seed reproduces the file exactly. Creation time is
-only recorded when SOURCE_DATE_EPOCH is set; a wall clock would break
-byte-identical reruns.
+round-trip float decimals). Format 2 stores each dense float array (the
+PCA mean, components and explained variances, the knn training rows and
+the svm weights) as one object holding its shape and its bytes as
+little-endian float64 in base64 (``linalg.encode_array``). Parsing tens of
+thousands of JSON decimals cost most of a knn or svm ``qflake predict``;
+decoding the same bytes costs a copy. Every array loads bit for bit as it
+was trained, and its bytes encode back to the same string, so save ->
+load -> save is byte-stable, a retrain with the same seed reproduces the
+file exactly, and a loaded bundle scores exactly as the trained one.
+Format 1 (arrays as nested lists) is refused with a request to retrain:
+the bundle records the seed and corpus hash that reproduce it. Creation
+time is only recorded when SOURCE_DATE_EPOCH is set; a wall clock would
+break byte-identical reruns.
 """
 
 from __future__ import annotations
@@ -19,12 +28,12 @@ import numpy as np
 
 from .classifiers import model_from_dict, model_to_dict
 from .corpus import Corpus
-from .errors import ConfigError
+from .errors import ConfigError, SpecInvalidError
 from .eval import FittedPipeline, PipelineConfig, ThresholdCurve, fit_pipeline
-from .linalg import PcaModel
+from .linalg import PcaModel, decode_array, encode_array
 from .text import Vocabulary, get_tokenizer_profile, tokenize
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -45,9 +54,9 @@ class ModelBundle:
         pca = None
         if p.pca is not None:
             pca = {
-                "mean": [float(v) for v in p.pca.mean],
-                "components": [[float(v) for v in row] for row in p.pca.components],
-                "explained_variance": [float(v) for v in p.pca.explained_variance],
+                "mean": encode_array(p.pca.mean),
+                "components": encode_array(p.pca.components),
+                "explained_variance": encode_array(p.pca.explained_variance),
             }
         return {
             "format_version": self.format_version,
@@ -62,25 +71,47 @@ class ModelBundle:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelBundle":
         version = d.get("format_version")
+        if version == 1:
+            raise ConfigError(
+                "bundle format_version 1 predates format 2; retrain it with `qflake train`"
+            )
         if version != FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported bundle format_version {version!r}; expected {FORMAT_VERSION}"
             )
+        vocabulary = Vocabulary(ordered_tokens=tuple(d["vocabulary"]))
+        width = len(vocabulary)
         pca = None
         if d.get("pca") is not None:
             p = d["pca"]
             pca = PcaModel(
-                mean=np.array(p["mean"], dtype=np.float64),
-                components=np.array(p["components"], dtype=np.float64),
-                explained_variance=np.array(p["explained_variance"], dtype=np.float64),
+                mean=decode_array(p["mean"], 1),
+                components=decode_array(p["components"], 2),
+                explained_variance=decode_array(p["explained_variance"], 1),
             )
+            k = pca.n_components
+            shapes = (pca.mean.shape, pca.components.shape, pca.explained_variance.shape)
+            if shapes != ((width,), (k, width), (k,)):
+                raise SpecInvalidError(
+                    f"pca mean, components and explained variances of shapes {shapes} "
+                    f"do not fit a vocabulary of {width} tokens"
+                )
+            width = k
+        model = model_from_dict(d["model"])
+        if model.n_features != width:
+            raise SpecInvalidError(
+                f"model takes {model.n_features} inputs, the bundle feeds it {width}"
+            )
+        threshold = d["threshold"]
+        if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
+            raise SpecInvalidError(f"threshold must be a number in [0, 1], got {threshold!r}")
+        threshold = float(threshold)
         metadata = dict(d["metadata"])
-        threshold = float(d["threshold"])
         curve = metadata.get("threshold_curve")
         pipeline = FittedPipeline(
-            vocabulary=Vocabulary(ordered_tokens=tuple(d["vocabulary"])),
+            vocabulary=vocabulary,
             pca=pca,
-            model=model_from_dict(d["model"]),
+            model=model,
             threshold=threshold,
             curve=None if curve is None else ThresholdCurve(
                 grid=tuple((t, f1) for t, f1 in curve), best_threshold=threshold
@@ -113,6 +144,8 @@ class ModelBundle:
         # level, so a deeply nested file raises RecursionError
         try:
             return cls.from_dict(json.loads(text))
+        except ConfigError as exc:  # the format version
+            raise ConfigError(f"{path}: {exc}") from None
         except (
             ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError
         ) as exc:

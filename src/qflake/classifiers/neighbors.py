@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import KTooLargeError
+from ..errors import KTooLargeError, SpecInvalidError
+from ..linalg import decode_array, encode_array
 from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
 
 _KNN_PARAMS = {
@@ -57,7 +58,7 @@ class KnnModel:
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "X_train": [[float(v) for v in row] for row in self.X_train],
+            "X_train": encode_array(self.X_train),
             "y_train": [int(v) for v in self.y_train],
             "n_neighbors": int(self.n_neighbors),
             "params": dict(self.params),
@@ -67,10 +68,22 @@ class KnnModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KnnModel":
+        X_train = decode_array(d["X_train"], 2)
+        y_train, k = d["y_train"], d["n_neighbors"]
+        if len(y_train) != len(X_train):
+            raise SpecInvalidError(
+                f"knn payload has {len(y_train)} labels for {len(X_train)} rows"
+            )
+        if not all(type(v) is int and v in (0, 1) for v in y_train):
+            raise SpecInvalidError("knn labels must be 0 (nonflaky) or 1 (flaky)")
+        if type(k) is not int or not 1 <= k <= len(X_train):
+            raise SpecInvalidError(
+                f"knn n_neighbors must be an integer in [1, {len(X_train)}], got {k!r}"
+            )
         return cls(
-            X_train=np.array(d["X_train"], dtype=np.float64),
-            y_train=np.array(d["y_train"], dtype=np.int8),
-            n_neighbors=int(d["n_neighbors"]),
+            X_train=X_train,
+            y_train=np.array(y_train, dtype=np.int8),
+            n_neighbors=k,
             params=dict(d["params"]),
             seed=d.get("seed"),
             flags=tuple(d.get("flags", ())),

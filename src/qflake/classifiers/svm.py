@@ -11,11 +11,13 @@ reorder nothing and 0.5 reproduces the sign rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingleClassError
+from ..errors import SingleClassError, SpecInvalidError
+from ..linalg import decode_array, encode_array
 from ..seeding import STREAM_MODEL, rng_for
 from .base import REQUIRED, check_scoring_input, check_training_data, sigmoid, validate_params
 
@@ -52,7 +54,7 @@ class LinearSvmModel:
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "w": [float(v) for v in self.w],
+            "w": encode_array(self.w),
             "b": float(self.b),
             "params": dict(self.params),
             "seed": self.seed,
@@ -61,9 +63,12 @@ class LinearSvmModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearSvmModel":
+        b = d["b"]
+        if type(b) not in (int, float) or not math.isfinite(b):
+            raise SpecInvalidError(f"svm bias must be a finite number, got {b!r}")
         return cls(
-            w=np.array(d["w"], dtype=np.float64),
-            b=float(d["b"]),
+            w=decode_array(d["w"], 1),
+            b=float(b),
             params=dict(d["params"]),
             seed=d.get("seed"),
             flags=tuple(d.get("flags", ())),

@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -108,7 +109,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=None, help="output path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qflake argument parser, built once per process: parsing keeps
+    no state in it, and ``main`` is called many times by in-process
+    callers."""
     parser = argparse.ArgumentParser(
         prog="qflake",
         description="Detect flaky tests in quantum-software repositories "

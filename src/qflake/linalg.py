@@ -1,4 +1,5 @@
-"""Dense matrix checks and PCA via SVD of the centered data matrix.
+"""Dense matrix checks, the JSON codec for float arrays, and PCA via SVD
+of the centered data matrix.
 
 The SVD route avoids forming the covariance of wide count matrices; the
 explained variances are the squared singular values over (n - 1). Each
@@ -8,6 +9,8 @@ making results independent of solver internals.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteMatrixError,
     RankTooSmallError,
+    SpecInvalidError,
     SvdNotConvergedError,
 )
 
@@ -29,6 +33,48 @@ def as_matrix(X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise NonFiniteMatrixError("matrix contains NaN or infinite entries")
     return X
+
+
+def encode_array(a) -> dict:
+    """A float array as JSON: its shape and its bytes as little-endian
+    float64 in standard base64 (RFC 4648)."""
+    a = np.asarray(a, dtype="<f8")
+    return {
+        "float64le": base64.b64encode(a.tobytes()).decode("ascii"),
+        "shape": list(a.shape),
+    }
+
+
+def decode_array(payload, ndim: int) -> np.ndarray:
+    """The finite float64 array of rank ``ndim`` that ``encode_array``
+    wrote as ``payload``, bit for bit; anything else raises
+    SpecInvalidError."""
+    if not isinstance(payload, dict):
+        raise SpecInvalidError(f"array must be a JSON object, got {type(payload).__name__}")
+    shape, text = payload.get("shape"), payload.get("float64le")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise SpecInvalidError(
+            f"array shape must be a list of non-negative integers, got {shape!r}"
+        )
+    if len(shape) != ndim:
+        raise SpecInvalidError(f"array shape {shape} is not of rank {ndim}")
+    if not isinstance(text, str):
+        raise SpecInvalidError("array float64le must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII string
+        raise SpecInvalidError("array float64le is not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise SpecInvalidError(
+            f"array of shape {shape} needs {8 * math.prod(shape)} bytes, got {len(raw)}"
+        )
+    try:
+        a = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    except ValueError as exc:  # a zero-size shape too large to index
+        raise SpecInvalidError(f"array shape {shape}: {exc}") from None
+    if not np.isfinite(a).all():
+        raise SpecInvalidError("array holds NaN or infinite values")
+    return a
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qflake import cli, linalg
-from qflake.bundle import ModelBundle, train_bundle
+from qflake.bundle import FORMAT_VERSION, ModelBundle, train_bundle
 from qflake.corpus import Corpus, Label
 from qflake.eval import PipelineConfig, ThresholdPolicy
 
@@ -23,12 +23,12 @@ def run_cli(*args, cwd=None):
 
 class TestBundle:
     def test_save_load_save_is_byte_stable(self, tiny_corpus, tmp_path):
-        """dt, rf and xgb bundles, vanilla and SMOTE, and an xgb bundle
+        """Bundles of every family, vanilla and SMOTE, and an xgb bundle
         trained on one class (no trees) save identical bytes after a load."""
         nonflaky = Corpus(tuple(e for e in tiny_corpus if e.label is Label.NONFLAKY))
         cases = [
             (tiny_corpus, family, profile)
-            for family in ("dt", "rf", "xgb")
+            for family in ("dt", "rf", "xgb", "knn", "svm")
             for profile in ("paper_vanilla", "paper_smote")
         ] + [(nonflaky, "xgb", "paper_vanilla")]
         for corpus, family, profile in cases:
@@ -50,13 +50,17 @@ class TestBundle:
         assert a == b
 
     def test_roundtrip_preserves_predictions_exactly(self, tiny_corpus, tmp_path):
-        config = PipelineConfig.from_profile("knn", "paper_vanilla")
-        bundle = train_bundle(tiny_corpus, config, seed=7)
-        path = tmp_path / "knn.json"
-        bundle.save(path)
-        loaded = ModelBundle.load(path)
+        """A PCA pipeline of each linear family scores exactly as trained
+        after a save and load."""
         texts = [e.text for e in tiny_corpus]
-        assert np.array_equal(bundle.score_texts(texts), loaded.score_texts(texts))
+        for family in ("knn", "svm"):
+            config = PipelineConfig.from_profile(family, "paper_vanilla")
+            bundle = train_bundle(tiny_corpus, config, seed=7)
+            path = tmp_path / f"{family}.json"
+            bundle.save(path)
+            loaded = ModelBundle.load(path)
+            assert loaded.pipeline.pca is not None
+            assert np.array_equal(bundle.score_texts(texts), loaded.score_texts(texts))
 
     def test_default_threshold_is_half(self, tiny_corpus):
         config = PipelineConfig.from_profile("xgb", "paper_vanilla")
@@ -281,17 +285,48 @@ def _bundle_at(tmp_path, name):
     return ["predict", "--bundle", tmp_path / name, tmp_path / "a.py"]
 
 
-def _tampered_bundle(tmp_path, payload):
-    """A trained bundle whose model payload ``edit`` changed."""
+def _edited_bundle(tmp_path, payload):
+    """A trained bundle of ``family`` whose JSON ``edit`` changed."""
     family, edit = payload
     manifest = _trainable_manifest(tmp_path)
     bundle = tmp_path / "bundle.json"
     assert cli.main(["train", "--manifest", str(manifest), "--family", family,
                      "--out", str(bundle)]) == 0
     data = json.loads(bundle.read_text())
-    edit(data["model"])
+    edit(data)
     bundle.write_text(json.dumps(data))
     return ["predict", "--bundle", bundle, tmp_path / "t0.py"]
+
+
+def _tampered_bundle(tmp_path, payload):
+    """A trained bundle whose model payload ``edit`` changed."""
+    family, edit = payload
+    return _edited_bundle(tmp_path, (family, lambda data: edit(data["model"])))
+
+
+def _decoded(holder, key):
+    return linalg.decode_array(holder[key], len(holder[key]["shape"]))
+
+
+def _edit_array(holder, key, change):
+    """Re-encode the float array ``holder[key]`` as ``change`` makes it."""
+    holder[key] = linalg.encode_array(change(_decoded(holder, key).copy()))
+
+
+def _nan_first(a):
+    a.flat[0] = np.nan
+    return a
+
+
+def _to_format_1(data):
+    """A format-2 knn bundle as format 1 wrote it: float arrays as nested lists."""
+    data["format_version"] = 1
+    for holder, keys in (
+        (data["pca"], ("mean", "components", "explained_variance")),
+        (data["model"], ("X_train",)),
+    ):
+        for key in keys:
+            holder[key] = _decoded(holder, key).tolist()
 
 
 def _split_root(model, feature=0, threshold=0.5):
@@ -397,7 +432,8 @@ MALFORMED_INPUTS = {
     "record-is-json-array": (_manifest_with, '["b", "a.py", "flaky"]'),
     "record-invalid-json": (_manifest_with, '{"id": "b", "path"'),
     "bundle-not-json": (_bundle_with, "not json at all"),
-    "bundle-missing-keys": (_bundle_with, '{"format_version": 1}'),
+    "bundle-missing-keys": (_bundle_with, f'{{"format_version": {FORMAT_VERSION}}}'),
+    "bundle-format-version-1": (_edited_bundle, ("knn", _to_format_1)),
     "bundle-missing-file": (_bundle_at, "missing.json"),
     "bundle-unreadable": (_bundle_at, "a_directory"),
     "bundle-nested-too-deep": (_bundle_with, "[" * 5000 + "]" * 5000),
@@ -415,6 +451,30 @@ MALFORMED_INPUTS = {
     "bundle-boosting-leaf-without-value": (
         _tampered_bundle, ("xgb", lambda m: m.update(trees=[{"dist": [0.5, 0.5]}]))
     ),
+    "bundle-svm-weight-nan": (
+        _tampered_bundle, ("svm", lambda m: _edit_array(m, "w", _nan_first))
+    ),
+    "bundle-svm-bias-nan": (_tampered_bundle, ("svm", lambda m: m.update(b=float("nan")))),
+    "bundle-pca-mean-nan": (
+        _edited_bundle, ("knn", lambda d: _edit_array(d["pca"], "mean", _nan_first))
+    ),
+    "bundle-pca-mean-short": (
+        _edited_bundle, ("svm", lambda d: _edit_array(d["pca"], "mean", lambda a: a[:-1]))
+    ),
+    "bundle-knn-rows-narrower-than-pca": (
+        _tampered_bundle, ("knn", lambda m: _edit_array(m, "X_train", lambda a: a[:, :-1]))
+    ),
+    "bundle-knn-rows-not-base64": (
+        _tampered_bundle, ("knn", lambda m: m["X_train"].update(float64le="not base64!"))
+    ),
+    "bundle-knn-zero-neighbors": (_tampered_bundle, ("knn", lambda m: m.update(n_neighbors=0))),
+    "bundle-knn-label-missing": (
+        _tampered_bundle, ("knn", lambda m: m.update(y_train=m["y_train"][:-1]))
+    ),
+    "bundle-knn-label-not-binary": (
+        _tampered_bundle, ("knn", lambda m: m["y_train"].__setitem__(0, 3))
+    ),
+    "bundle-threshold-nan": (_edited_bundle, ("dt", lambda d: d.update(threshold=float("nan")))),
     "experiment-empty-manifest": (_experiment_on, []),
     "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
     "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),
@@ -439,6 +499,10 @@ MALFORMED_INPUTS = {
 }
 
 
+# Cases whose one line must also say what to do.
+MALFORMED_MESSAGES = {"bundle-format-version-1": "retrain it with `qflake train`"}
+
+
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_with_one_line(case, tmp_path):
     build, payload = MALFORMED_INPUTS[case]
@@ -446,6 +510,23 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert MALFORMED_MESSAGES.get(case, "") in proc.stderr, proc.stderr
+
+
+def test_in_process_calls_share_no_parser_state(tiny_manifest, tmp_path, capsys):
+    """``cli.main`` builds its parser once per process, yet a flag given
+    to one call does not reach the next."""
+    source = next(tiny_manifest.parent.rglob("*.py"))
+    bundles = {"smote": tmp_path / "smote.json", "plain": tmp_path / "plain.json"}
+    train = ["train", "--manifest", str(tiny_manifest), "--family", "dt", "--seed", "3"]
+    assert cli.main([*train, "--smote", "--out", str(bundles["smote"])]) == 0
+    assert cli.main(["predict", "--bundle", str(bundles["smote"]), str(source)]) == 0
+    assert cli.main([*train, "--out", str(bundles["plain"])]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["path"] == str(source)
+    smote, plain = (ModelBundle.load(bundles[k]).metadata for k in ("smote", "plain"))
+    assert (smote["smote"], smote["profile"]) == (True, "paper_smote")
+    assert (plain["smote"], plain["profile"]) == (False, "paper_vanilla")
 
 
 def test_train_and_predict_create_missing_out_directories(tiny_manifest, tmp_path):

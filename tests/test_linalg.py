@@ -1,15 +1,25 @@
+import base64
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qflake.errors import (
     DegenerateInputError,
     DimensionMismatchError,
     NonFiniteMatrixError,
     RankTooSmallError,
+    SpecInvalidError,
     SvdNotConvergedError,
 )
 from qflake import linalg
 from qflake.linalg import (
+    decode_array,
+    encode_array,
     pca_ceiling,
     pca_fit,
     pca_inverse_transform,
@@ -166,3 +176,73 @@ class TestPcaTransform:
         model = pca_fit(X, 2)
         with pytest.raises(DimensionMismatchError):
             pca_transform(model, X[:, :3])
+
+
+MAX = np.finfo(np.float64).max
+TINY = np.finfo(np.float64).smallest_subnormal
+EDGE_VALUES = [0.0, -0.0, TINY, -TINY, 2.5e-310, MAX, -MAX, 1.0 / 3.0]
+
+
+@given(
+    a=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.sampled_from(EDGE_VALUES)
+        | st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(a=np.array(EDGE_VALUES))
+@example(a=np.array(EDGE_VALUES).reshape(2, 4))
+@example(a=np.zeros((0, 3)))
+@example(a=np.zeros((4, 0)))
+@settings(max_examples=200)
+def test_array_codec_roundtrip_is_bit_identical(a):
+    """decode(encode(a)) has a's shape and bytes, through JSON text too,
+    and encoding the same values twice, or the decoded array, gives the
+    same object."""
+    payload = encode_array(a)
+    decoded = decode_array(json.loads(json.dumps(payload)), a.ndim)
+    assert decoded.dtype == np.float64 and decoded.shape == a.shape
+    assert decoded.tobytes() == a.tobytes()
+    assert encode_array(a.copy()) == payload == encode_array(decoded)
+    assert payload["float64le"] == base64.b64encode(
+        struct.pack(f"<{a.size}d", *a.ravel())
+    ).decode("ascii")
+
+
+def _payload(values=(1.0, 2.0), shape=None):
+    data = struct.pack(f"<{len(values)}d", *values)
+    return {
+        "float64le": base64.b64encode(data).decode("ascii"),
+        "shape": [len(values)] if shape is None else shape,
+    }
+
+
+CODEC_REJECTIONS = {
+    "not-an-object": ([1.0, 2.0], 1),
+    # 8 zero bytes once the "!" is skipped, as a non-validating decoder would
+    "base64-bad-character": ({"float64le": "AAAA!AAAAAAA=", "shape": [1]}, 1),
+    "base64-bad-padding": ({"float64le": "AAA", "shape": [0]}, 1),
+    "base64-not-ascii": ({"float64le": "\u00e9", "shape": [0]}, 1),
+    "data-not-a-string": ({"float64le": None, "shape": [0]}, 1),
+    "bytes-short": (_payload(shape=[3]), 1),
+    "bytes-long": (_payload(shape=[1]), 1),
+    "shape-negative": (_payload(shape=[-2]), 1),
+    "shape-not-integer": (_payload(shape=[2.0]), 1),
+    "shape-bool": (_payload(values=(1.0,), shape=[True]), 1),
+    "shape-not-a-list": (_payload(shape=2), 1),
+    "shape-missing": ({"float64le": ""}, 1),
+    "rank-too-low": (_payload(), 2),
+    "rank-too-high": (_payload(shape=[1, 2]), 1),
+    "zero-size-too-large": (_payload(values=(), shape=[0, 2**70]), 2),
+    "nan": (_payload(values=(1.0, float("nan"))), 1),
+    "inf": (_payload(values=(float("inf"), 1.0)), 1),
+    "minus-inf": (_payload(values=(1.0, float("-inf"))), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(CODEC_REJECTIONS))
+def test_array_decoder_rejects_malformed_payload(case):
+    payload, ndim = CODEC_REJECTIONS[case]
+    with pytest.raises(SpecInvalidError):
+        decode_array(payload, ndim)

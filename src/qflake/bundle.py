@@ -2,17 +2,22 @@
 trained model, decision threshold, and training metadata.
 
 Bundles are canonical JSON (sorted keys, two-space indent, shortest
-round-trip float decimals). Format 2 stores each dense float array (the
-PCA mean, components and explained variances, the knn training rows and
-the svm weights) as one object holding its shape and its bytes as
-little-endian float64 in base64 (``linalg.encode_array``). Parsing tens of
-thousands of JSON decimals cost most of a knn or svm ``qflake predict``;
-decoding the same bytes costs a copy. Every array loads bit for bit as it
-was trained, and its bytes encode back to the same string, so save ->
-load -> save is byte-stable, a retrain with the same seed reproduces the
-file exactly, and a loaded bundle scores exactly as the trained one.
-Format 1 (arrays as nested lists) is refused with a request to retrain:
-the bundle records the seed and corpus hash that reproduce it. Creation
+round-trip float decimals). Format 3 stores every array as one object
+holding its shape and its bytes in base64 (``linalg.encode_array``):
+little-endian float64 for the PCA mean, components and explained
+variances, the knn training rows and the svm weights, and for the trees
+of dt, rf and xgb models their flat node arrays (``tree.FlatTrees``),
+int64 for node indices and features. Parsing tens of thousands of JSON
+decimals, or one nested dict per tree node, cost most of a
+``qflake predict``; decoding the same bytes costs a copy, and the tree
+structure is checked with whole-array operations (see ``tree``). Every
+array loads bit for bit as it was trained, and its bytes encode back to
+the same string, so save -> load -> save is byte-stable, a retrain with
+the same seed reproduces the file exactly, and a loaded bundle scores
+exactly as the trained one. Formats 1 (arrays as nested lists) and 2
+(trees as nested dicts) are refused with a request to retrain: the bundle
+records the seed and corpus hash that reproduce it. The vocabulary must
+be distinct strings in sorted order, as training writes it. Creation
 time is only recorded when SOURCE_DATE_EPOCH is set; a wall clock would
 break byte-identical reruns.
 """
@@ -33,7 +38,7 @@ from .eval import FittedPipeline, PipelineConfig, ThresholdCurve, fit_pipeline
 from .linalg import PcaModel, decode_array, encode_array
 from .text import Vocabulary, get_tokenizer_profile, tokenize
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -71,15 +76,26 @@ class ModelBundle:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelBundle":
         version = d.get("format_version")
-        if version == 1:
+        if type(version) is int and 0 < version < FORMAT_VERSION:
             raise ConfigError(
-                "bundle format_version 1 predates format 2; retrain it with `qflake train`"
+                f"bundle format_version {version} predates format {FORMAT_VERSION}; "
+                "retrain it with `qflake train`"
             )
         if version != FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported bundle format_version {version!r}; expected {FORMAT_VERSION}"
             )
-        vocabulary = Vocabulary(ordered_tokens=tuple(d["vocabulary"]))
+        tokens = d["vocabulary"]
+        if not (
+            isinstance(tokens, list)
+            and all(type(t) is str for t in tokens)
+            and tokens == sorted(tokens)
+            and len(set(tokens)) == len(tokens)
+        ):
+            raise SpecInvalidError(
+                "bundle vocabulary must be a list of distinct strings in sorted order"
+            )
+        vocabulary = Vocabulary(ordered_tokens=tuple(tokens))
         width = len(vocabulary)
         pca = None
         if d.get("pca") is not None:

@@ -209,7 +209,7 @@ class GradientBoostingModel:
             "base_raw": float(self.base_raw),
             "prior": float(self.prior),
             "learning_rate": float(self.learning_rate),
-            "trees": self.flat.to_dicts(),
+            "trees": self.flat.to_payload(),
             "n_features": int(self.n_features),
             "params": dict(self.params),
             "seed": self.seed,
@@ -223,7 +223,7 @@ class GradientBoostingModel:
             base_raw=float(d["base_raw"]),
             prior=float(d["prior"]),
             learning_rate=float(d["learning_rate"]),
-            flat=FlatTrees.from_dicts(d["trees"], n_features, classification=False),
+            flat=FlatTrees.from_payload(d["trees"], n_features, classification=False),
             n_features=n_features,
             params=dict(d["params"]),
             seed=d.get("seed"),

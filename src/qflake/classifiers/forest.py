@@ -49,7 +49,7 @@ class RandomForestModel:
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "trees": self.flat.to_dicts(),
+            "trees": self.flat.to_payload(),
             "n_features": int(self.n_features),
             "params": dict(self.params),
             "seed": self.seed,
@@ -59,10 +59,11 @@ class RandomForestModel:
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForestModel":
         n_features = int(d["n_features"])
-        if not d["trees"]:
+        flat = FlatTrees.from_payload(d["trees"], n_features, classification=True)
+        if not flat.roots.size:
             raise SpecInvalidError("rf model payload holds no trees")
         return cls(
-            flat=FlatTrees.from_dicts(d["trees"], n_features, classification=True),
+            flat=flat,
             n_features=n_features,
             params=dict(d["params"]),
             seed=d.get("seed"),

@@ -84,28 +84,33 @@ def train_svm(X, y, params=None, seed=0) -> LinearSvmModel:
 
     C = float(resolved["C"])
     n = X.shape[0]
-    yy = (2.0 * y - 1.0).astype(np.float64)
     Xa = np.hstack([X, np.ones((n, 1))])
-    q = (Xa**2).sum(axis=1)
+    # Python floats for the per-coordinate scalars and one in-place update
+    # of w: the same IEEE operations, in the same order, as on numpy
+    # scalars, at a fraction of the interpreter cost
+    yy = (2.0 * y - 1.0).astype(np.float64).tolist()
+    q = (Xa**2).sum(axis=1).tolist()
+    rows = list(Xa)
 
-    alpha = np.zeros(n, dtype=np.float64)
+    alpha = [0.0] * n
     w = np.zeros(Xa.shape[1], dtype=np.float64)
     rng = rng_for(seed, STREAM_MODEL)
     for _ in range(resolved["max_epochs"]):
         worst = 0.0
-        for i in rng.permutation(n):
-            grad = yy[i] * (w @ Xa[i]) - 1.0
-            if alpha[i] == 0.0:
+        for i in rng.permutation(n).tolist():
+            a = alpha[i]
+            grad = yy[i] * float(w @ rows[i]) - 1.0
+            if a == 0.0:
                 projected = min(grad, 0.0)
-            elif alpha[i] == C:
+            elif a == C:
                 projected = max(grad, 0.0)
             else:
                 projected = grad
             worst = max(worst, abs(projected))
             if abs(projected) > 1e-12:
-                updated = min(max(alpha[i] - grad / q[i], 0.0), C)
-                if updated != alpha[i]:
-                    w = w + (updated - alpha[i]) * yy[i] * Xa[i]
+                updated = min(max(a - grad / q[i], 0.0), C)
+                if updated != a:
+                    w += (updated - a) * yy[i] * rows[i]
                     alpha[i] = updated
         if worst < resolved["tol"]:
             break

@@ -18,17 +18,30 @@ values as evaluating impurity at every row boundary would be.
 Growers build ``TreeNode``s; a fit flattens all of its model's trees once
 into one ``FlatTrees``: parallel node arrays ``feature``, ``threshold``,
 ``left``, ``right`` and leaf ``value``, one root index per tree, and the
-deepest tree's depth. A bundle's nested dicts are parsed straight into the
-arrays with an explicit stack, and written back from them. Scoring moves
-every (tree, row) pair one level per step, all pairs at once:
-``go = X[row, feature[node]] <= threshold[node]``, then
-``node = where(go, left, right)``. A leaf's children are the leaf itself
-(its feature is column 0, which exists whenever a tree has a split), so a
-pair that reaches a leaf early stays there, and after ``depth`` steps every
-pair sits at its leaf, whatever its own tree's depth, with no test for
-leaves in the loop. The comparisons and leaf values are the ones a
-recursive walk makes; forests and boosting add the per-tree values in tree
-order, so scores are bit-identical to adding one tree at a time.
+deepest tree's depth. Scoring moves every (tree, row) pair one level per
+step, all pairs at once: ``go = X[row, feature[node]] <= threshold[node]``,
+then ``node = where(go, left, right)``. A leaf's children are the leaf
+itself (its feature is column 0, which exists whenever a tree has a
+split), so a pair that reaches a leaf early stays there, and after
+``depth`` steps every pair sits at its leaf, whatever its own tree's
+depth, with no test for leaves in the loop. The comparisons and leaf
+values are the ones a recursive walk makes; forests and boosting add the
+per-tree values in tree order, so scores are bit-identical to adding one
+tree at a time.
+
+A bundle stores the arrays themselves, each through the codec in
+``linalg`` (base64 of little-endian int64 or float64): ``feature``,
+``threshold``, ``right``, ``value``, ``roots``, and ``nonflaky`` for
+classification trees. ``left`` is not stored: nodes are in pre-order, so a
+node is a leaf iff ``right[i] == i`` and an internal node's left child is
+``i + 1``. Nor is ``depth``: a file that understated it would stop walks
+at internal nodes and silently score 0.0, so it is computed on load, one
+numpy step per tree level. Loading checks the structure with a few
+whole-array operations instead of a walk per node. Every internal node
+needs ``i + 1 < right[i] < n``, and every node must be a root or the child
+of exactly one parent (a ``bincount`` over roots and children). Children
+then have higher indices than their parents, so the nodes form a forest
+and every walk from a root ends at a leaf.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptySetError, SpecInvalidError
+from ..linalg import decode_array, encode_array
 from .base import check_scoring_input, check_training_data, validate_params
 
 _GAIN_EPS = 1e-12
@@ -88,53 +102,50 @@ def tree_depth(node: TreeNode) -> int:
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
-def _check_types(values, types, what):
-    """Raise SpecInvalidError naming the first of ``values`` whose type is
-    not in ``types`` (bool is its own type, so True is no number)."""
-    if not set(map(type, values)) <= types:
-        bad = next(v for v in values if type(v) not in types)
-        raise SpecInvalidError(f"{what}, got {bad!r}")
+def _preorder(trees, classification):
+    """Walk ``TreeNode`` trees in pre-order with an explicit stack.
 
-
-_NUMBER = {int, float}
-
-
-def _preorder(trees, split, leaf):
-    """Walk ``trees`` in pre-order with an explicit stack.
-
-    ``split(node)`` gives an internal node's (feature, threshold, left,
-    right) and None for a leaf; ``leaf(node)`` gives a leaf's value, or its
-    (nonflaky, flaky) pair. Returns per-node feature, threshold and right
-    child lists, the leaves' node indices and ``leaf`` results, each tree's
-    root index, and the deepest leaf's level. An internal node's left
-    child is the next node; its right child's index is recorded when that
-    child is popped.
+    Returns per-node feature, threshold, right child, leaf value and leaf
+    nonflaky fraction lists (0 and 0.0 where a node has none), and each
+    tree's root index. An internal node's left child is the next node;
+    its right child's index is recorded when that child is popped, and a
+    leaf is its own right child.
     """
-    feature, threshold, right, leaf_at, leaves, roots = [], [], [], [], [], []
-    depth = 0
+    feature, threshold, right, value, nonflaky, roots = [], [], [], [], [], []
     for tree in trees:
         roots.append(len(feature))
-        stack = [(tree, -1, 0)]
+        stack = [(tree, -1)]
         while stack:
-            node, parent, level = stack.pop()
+            node, parent = stack.pop()
             i = len(feature)
             if parent >= 0:
                 right[parent] = i
             right.append(i)
-            found = split(node)
-            if found is None:
+            if node.is_leaf:
                 feature.append(0)
                 threshold.append(0.0)
-                leaf_at.append(i)
-                leaves.append(leaf(node))
-                depth = max(depth, level)
+                pair = node.distribution if classification else (0.0, node.value)
+                nonflaky.append(pair[0])
+                value.append(pair[1])
             else:
-                f, t, lo, hi = found
-                feature.append(f)
-                threshold.append(t)
-                stack.append((hi, i, level + 1))
-                stack.append((lo, -1, level + 1))
-    return feature, threshold, right, leaf_at, leaves, roots, depth
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                nonflaky.append(0.0)
+                value.append(0.0)
+                stack.append((node.right, i))
+                stack.append((node.left, -1))
+    return feature, threshold, right, value, nonflaky, roots
+
+
+# The arrays of a saved FlatTrees, and the codec key each is stored under.
+_PAYLOAD_KEYS = {
+    "feature": "int64le",
+    "threshold": "float64le",
+    "right": "int64le",
+    "value": "float64le",
+    "nonflaky": "float64le",
+    "roots": "int64le",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +156,8 @@ class FlatTrees:
     value. Classification leaves also keep their nonflaky fraction in
     ``nonflaky``, which is None for regression trees. Internal nodes hold
     0.0 in both; leaves hold feature 0, threshold 0.0 and themselves as
-    children.
+    children. ``left`` and ``depth`` follow from ``right`` and ``roots``
+    (``_with_derived``), so a bundle stores neither.
     """
 
     feature: np.ndarray
@@ -158,124 +170,134 @@ class FlatTrees:
     depth: int
 
     @classmethod
-    def _from_lists(cls, classification, feature, threshold, right, leaf_at, leaves, roots, depth):
-        """Arrays from ``_preorder``'s lists: a leaf is its own left
-        child, an internal node's left child is the next node."""
-        n = len(feature)
-        leaf_at = np.array(leaf_at, dtype=np.intp)
-        left = np.arange(1, n + 1, dtype=np.intp)
-        left[leaf_at] = leaf_at
-        leaf_values = np.array(leaves, dtype=np.float64).reshape(leaf_at.size, 1 + classification)
-        value = np.zeros(n)
-        value[leaf_at] = leaf_values[:, -1]
-        nonflaky = None
-        if classification:
-            nonflaky = np.zeros(n)
-            nonflaky[leaf_at] = leaf_values[:, 0]
+    def _with_derived(cls, feature, threshold, right, value, nonflaky, roots) -> "FlatTrees":
+        """The trees of ``right`` and ``roots``, whose node ``i`` is a leaf
+        iff ``right[i] == i`` and otherwise has left child ``i + 1``; the
+        depth comes from a walk down from the roots, one level per step."""
+        nodes = np.arange(right.size)
+        internal = right != nodes
+        left = np.where(internal, nodes + 1, nodes)
+        depth, level = 0, roots[internal[roots]]
+        while level.size:
+            depth += 1
+            children = np.concatenate([level + 1, right[level]])
+            level = children[internal[children]]
         return cls(
-            feature=np.array(feature, dtype=np.intp),
-            threshold=np.array(threshold, dtype=np.float64),
+            feature=feature,
+            threshold=threshold,
             left=left,
-            right=np.array(right, dtype=np.intp),
+            right=right,
             value=value,
             nonflaky=nonflaky,
-            roots=np.array(roots, dtype=np.intp),
+            roots=roots,
             depth=depth,
         )
 
     @classmethod
     def from_nodes(cls, trees, classification: bool) -> "FlatTrees":
         """Flatten grown ``TreeNode`` trees."""
+        feature, threshold, right, value, nonflaky, roots = _preorder(trees, classification)
+        return cls._with_derived(
+            np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=np.float64),
+            np.array(right, dtype=np.intp),
+            np.array(value, dtype=np.float64),
+            np.array(nonflaky, dtype=np.float64) if classification else None,
+            np.array(roots, dtype=np.intp),
+        )
 
-        def split(node):
-            if node.is_leaf:
-                return None
-            return node.feature, node.threshold, node.left, node.right
-
-        def leaf(node):
-            return node.distribution if classification else node.value
-
-        return cls._from_lists(classification, *_preorder(trees, split, leaf))
+    def to_payload(self) -> dict:
+        """The arrays a bundle stores, each through ``linalg.encode_array``."""
+        return {
+            name: encode_array(getattr(self, name))
+            for name in _PAYLOAD_KEYS
+            if getattr(self, name) is not None
+        }
 
     @classmethod
-    def from_dicts(cls, payloads, n_features: int, classification: bool) -> "FlatTrees":
-        """Parse saved nested tree dicts, checking every node: an
-        internal node needs an integer feature in [0, n_features) and a
-        finite threshold; a leaf needs a ``dist`` of two finite numbers
-        (classification) or a finite ``value``. An index out of range
-        would silently read another row's column, not fail."""
-        key = "dist" if classification else "value"
+    def from_payload(cls, payload, n_features: int, classification: bool) -> "FlatTrees":
+        """Decode and check a saved payload with whole-array operations;
+        anything but a forest of well-formed trees raises SpecInvalidError.
 
-        def split(node):
-            if "feature" not in node:
-                return None
-            return node["feature"], node["threshold"], node["left"], node["right"]
-
-        parts = _preorder(payloads, split, lambda node: node.get(key))
-        feature, threshold, _, _, leaves, _, _ = parts
-        _check_types(feature, {int}, "tree feature must be an integer")
-        _check_types(threshold, _NUMBER, "tree threshold must be a number")
-        if classification:
-            _check_types(leaves, {list}, "tree leaf needs a dist of two numbers")
-            if any(len(v) != 2 for v in leaves):
-                bad = next(v for v in leaves if len(v) != 2)
-                raise SpecInvalidError(f"tree leaf needs a dist of two numbers, got {bad!r}")
-            leaves = [x for v in leaves for x in v]
-        _check_types(leaves, _NUMBER, f"tree leaf needs a numeric {key}")
-
-        flat = cls._from_lists(classification, *parts)
-        internal = flat.left != np.arange(flat.left.size)
-        used = flat.feature[internal]
-        bad = used[(used < 0) | (used >= n_features)]
-        if bad.size:
+        Every internal node ``i`` must have ``i + 1 < right[i] < n``, and
+        every node must be a root or the child of exactly one parent.
+        Children then sit after their parents, so following parents from
+        any node ends at a root, and every walk down ends at a leaf. An
+        internal node's feature must be a column index (out of range it
+        would silently read another row's column), a leaf's must be 0 (it
+        is read, and ignored, while its walk waits for deeper trees), and
+        thresholds and leaf values must be finite (the codec checks)."""
+        if not isinstance(payload, dict):
+            raise SpecInvalidError(f"tree payload must be a JSON object, got {payload!r:.40}")
+        names = [n for n in _PAYLOAD_KEYS if classification or n != "nonflaky"]
+        arrays = {}
+        for name in names:
+            if name not in payload:
+                raise SpecInvalidError(f"tree payload has no {name} array")
+            try:
+                arrays[name] = decode_array(payload[name], 1, _PAYLOAD_KEYS[name])
+            except SpecInvalidError as exc:
+                raise SpecInvalidError(f"tree {name}: {exc}") from None
+        roots = arrays.pop("roots")
+        sizes = {name: a.size for name, a in arrays.items()}
+        n = sizes["right"]
+        if set(sizes.values()) != {n}:
+            raise SpecInvalidError(f"tree node arrays differ in length: {sizes}")
+        feature, right = arrays["feature"], arrays["right"]
+        nodes = np.arange(n)
+        internal = right != nodes
+        bad = internal & ((right <= nodes + 1) | (right >= n))
+        if bad.any():
+            i = int(bad.argmax())
             raise SpecInvalidError(
-                f"tree feature {bad[0]} is not a column index below {n_features}"
+                f"tree node {i} has right child {right[i]}, not in ({i + 1}, {n})"
             )
-        numbers = [flat.threshold, flat.value]
-        if classification:
-            numbers.append(flat.nonflaky)
-        if not all(np.isfinite(a).all() for a in numbers):
-            raise SpecInvalidError("tree thresholds and leaf values must be finite")
-        return flat
+        if ((roots < 0) | (roots >= n)).any():
+            raise SpecInvalidError(f"tree roots must be node indices below {n}")
+        parents = np.bincount(
+            np.concatenate([roots, nodes[internal] + 1, right[internal]]), minlength=n
+        )
+        if (parents != 1).any():
+            i = int((parents != 1).argmax())
+            raise SpecInvalidError(
+                f"tree node {i} is reached from {parents[i]} places (roots and parents); "
+                "expected exactly one"
+            )
+        bad = np.where(internal, (feature < 0) | (feature >= n_features), feature != 0)
+        if bad.any():
+            i = int(bad.argmax())
+            what = f"a column index below {n_features}" if internal[i] else "0 at a leaf"
+            raise SpecInvalidError(f"tree node {i} has feature {feature[i]}, not {what}")
+        return cls._with_derived(
+            feature,
+            arrays["threshold"],
+            right,
+            arrays["value"],
+            arrays.get("nonflaky"),
+            roots,
+        )
 
-    def _rebuild(self, leaf, internal):
-        """One object per node, children before parents (pre-order puts
-        them after), so no recursion; returns each tree's root object."""
+    def to_nodes(self) -> list[TreeNode]:
+        """Each tree as ``TreeNode``s, rebuilt from the arrays: children
+        before parents (pre-order puts them after), so no recursion."""
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right = self.left.tolist(), self.right.tolist()
         value = self.value.tolist()
         nonflaky = None if self.nonflaky is None else self.nonflaky.tolist()
         built = [None] * len(feature)
         for i in reversed(range(len(feature))):
-            if left[i] == i:
-                built[i] = leaf(value[i] if nonflaky is None else (nonflaky[i], value[i]))
+            if left[i] != i:
+                built[i] = TreeNode(
+                    feature=feature[i],
+                    threshold=threshold[i],
+                    left=built[left[i]],
+                    right=built[right[i]],
+                )
+            elif nonflaky is None:
+                built[i] = TreeNode(value=value[i])
             else:
-                built[i] = internal(feature[i], threshold[i], built[left[i]], built[right[i]])
+                built[i] = TreeNode(distribution=(nonflaky[i], value[i]))
         return [built[r] for r in self.roots.tolist()]
-
-    def to_dicts(self) -> list[dict]:
-        """Each tree as the nested dicts a bundle stores."""
-
-        def leaf(v):
-            return {"value": v} if self.nonflaky is None else {"dist": list(v)}
-
-        def internal(f, t, lo, hi):
-            return {"feature": f, "threshold": t, "left": lo, "right": hi}
-
-        return self._rebuild(leaf, internal)
-
-    def to_nodes(self) -> list[TreeNode]:
-        """Each tree as ``TreeNode``s, rebuilt from the arrays."""
-
-        def leaf(v):
-            if self.nonflaky is None:
-                return TreeNode(value=v)
-            return TreeNode(distribution=v)
-
-        def internal(f, t, lo, hi):
-            return TreeNode(feature=f, threshold=t, left=lo, right=hi)
-
-        return self._rebuild(leaf, internal)
 
     def leaf_values(self, X) -> np.ndarray:
         """Each tree's leaf value for each row of X, shape (trees, rows):
@@ -403,7 +425,12 @@ def grow_class_tree(
         node.right = build(idx[~mask], depth + 1)
         return node
 
-    return build(rows, 0)
+    root = build(rows, 0)
+    # build's closure holds build itself, so the cycle would keep the
+    # fit's matrices alive until the next garbage collection; a forest
+    # leaves one cycle per tree
+    del build
+    return root
 
 
 _DT_PARAMS = {
@@ -434,7 +461,7 @@ class DecisionTreeModel:
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "root": self.flat.to_dicts()[0],
+            "root": self.flat.to_payload(),
             "n_features": int(self.n_features),
             "params": dict(self.params),
             "seed": self.seed,
@@ -444,8 +471,11 @@ class DecisionTreeModel:
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTreeModel":
         n_features = int(d["n_features"])
+        flat = FlatTrees.from_payload(d["root"], n_features, classification=True)
+        if flat.roots.size != 1:
+            raise SpecInvalidError(f"dt model payload holds {flat.roots.size} trees, not one")
         return cls(
-            flat=FlatTrees.from_dicts([d["root"]], n_features, classification=True),
+            flat=flat,
             n_features=n_features,
             params=dict(d["params"]),
             seed=d.get("seed"),

@@ -1,5 +1,5 @@
-"""Dense matrix checks, the JSON codec for float arrays, and PCA via SVD
-of the centered data matrix.
+"""Dense matrix checks, the JSON codec for float and integer arrays, and
+PCA via SVD of the centered data matrix.
 
 The SVD route avoids forming the covariance of wide count matrices; the
 explained variances are the squared singular values over (n - 1). Each
@@ -35,23 +35,27 @@ def as_matrix(X) -> np.ndarray:
     return X
 
 
+# JSON key of an array's bytes -> their numpy dtype
+_ARRAY_DTYPES = {"float64le": "<f8", "int64le": "<i8"}
+
+
 def encode_array(a) -> dict:
-    """A float array as JSON: its shape and its bytes as little-endian
-    float64 in standard base64 (RFC 4648)."""
-    a = np.asarray(a, dtype="<f8")
-    return {
-        "float64le": base64.b64encode(a.tobytes()).decode("ascii"),
-        "shape": list(a.shape),
-    }
+    """A float or integer array as JSON: its shape and its bytes as
+    little-endian float64 (``float64le``) or int64 (``int64le``) in
+    standard base64 (RFC 4648)."""
+    a = np.asarray(a)
+    key = "int64le" if a.dtype.kind in "iu" else "float64le"
+    a = a.astype(_ARRAY_DTYPES[key], copy=False)
+    return {key: base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
 
 
-def decode_array(payload, ndim: int) -> np.ndarray:
-    """The finite float64 array of rank ``ndim`` that ``encode_array``
-    wrote as ``payload``, bit for bit; anything else raises
-    SpecInvalidError."""
+def decode_array(payload, ndim: int, key: str = "float64le") -> np.ndarray:
+    """The array of rank ``ndim`` that ``encode_array`` wrote as
+    ``payload`` under ``key``, bit for bit: float64 arrays must be finite.
+    Anything else raises SpecInvalidError."""
     if not isinstance(payload, dict):
         raise SpecInvalidError(f"array must be a JSON object, got {type(payload).__name__}")
-    shape, text = payload.get("shape"), payload.get("float64le")
+    shape, text = payload.get("shape"), payload.get(key)
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise SpecInvalidError(
             f"array shape must be a list of non-negative integers, got {shape!r}"
@@ -59,20 +63,20 @@ def decode_array(payload, ndim: int) -> np.ndarray:
     if len(shape) != ndim:
         raise SpecInvalidError(f"array shape {shape} is not of rank {ndim}")
     if not isinstance(text, str):
-        raise SpecInvalidError("array float64le must be a base64 string")
+        raise SpecInvalidError(f"array {key} must be a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII string
-        raise SpecInvalidError("array float64le is not valid base64") from None
+        raise SpecInvalidError(f"array {key} is not valid base64") from None
     if len(raw) != 8 * math.prod(shape):
         raise SpecInvalidError(
             f"array of shape {shape} needs {8 * math.prod(shape)} bytes, got {len(raw)}"
         )
     try:
-        a = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        a = np.frombuffer(raw, dtype=_ARRAY_DTYPES[key]).reshape(shape)
     except ValueError as exc:  # a zero-size shape too large to index
         raise SpecInvalidError(f"array shape {shape}: {exc}") from None
-    if not np.isfinite(a).all():
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise SpecInvalidError("array holds NaN or infinite values")
     return a
 

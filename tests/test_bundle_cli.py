@@ -8,8 +8,11 @@ import pytest
 
 from qflake import cli, linalg
 from qflake.bundle import FORMAT_VERSION, ModelBundle, train_bundle
+from qflake.classifiers.tree import FlatTrees
 from qflake.corpus import Corpus, Label
 from qflake.eval import PipelineConfig, ThresholdPolicy
+
+from recursive_predict import node_to_dict
 
 
 def run_cli(*args, cwd=None):
@@ -50,17 +53,20 @@ class TestBundle:
         assert a == b
 
     def test_roundtrip_preserves_predictions_exactly(self, tiny_corpus, tmp_path):
-        """A PCA pipeline of each linear family scores exactly as trained
-        after a save and load."""
+        """A pipeline of each family (PCA for the linear ones) scores
+        exactly as trained after a save and load, on all texts at once and
+        on each alone."""
         texts = [e.text for e in tiny_corpus]
-        for family in ("knn", "svm"):
+        for family in ("dt", "rf", "xgb", "knn", "svm"):
             config = PipelineConfig.from_profile(family, "paper_vanilla")
             bundle = train_bundle(tiny_corpus, config, seed=7)
             path = tmp_path / f"{family}.json"
             bundle.save(path)
             loaded = ModelBundle.load(path)
-            assert loaded.pipeline.pca is not None
+            assert (loaded.pipeline.pca is not None) is (family in ("knn", "svm"))
             assert np.array_equal(bundle.score_texts(texts), loaded.score_texts(texts))
+            for text in texts[:5]:
+                assert np.array_equal(bundle.score_texts([text]), loaded.score_texts([text]))
 
     def test_default_threshold_is_half(self, tiny_corpus):
         config = PipelineConfig.from_profile("xgb", "paper_vanilla")
@@ -305,7 +311,8 @@ def _tampered_bundle(tmp_path, payload):
 
 
 def _decoded(holder, key):
-    return linalg.decode_array(holder[key], len(holder[key]["shape"]))
+    kind = "int64le" if "int64le" in holder[key] else "float64le"
+    return linalg.decode_array(holder[key], len(holder[key]["shape"]), kind)
 
 
 def _edit_array(holder, key, change):
@@ -329,10 +336,61 @@ def _to_format_1(data):
             holder[key] = _decoded(holder, key).tolist()
 
 
-def _split_root(model, feature=0, threshold=0.5):
-    """Put one split over the dt model's root: both children are the old root."""
-    leaf = model["root"]
-    model["root"] = {"feature": feature, "threshold": threshold, "left": leaf, "right": leaf}
+def _edit_trees(model, key, edit):
+    """Decode the tree arrays of ``model[key]`` into a dict, let ``edit``
+    change it, and encode what it holds then."""
+    arrays = {name: _decoded(model[key], name).copy() for name in model[key]}
+    edit(arrays)
+    model[key] = {name: linalg.encode_array(a) for name, a in arrays.items()}
+
+
+def _edit_dt(edit):
+    return _tampered_bundle, ("dt", lambda m: _edit_trees(m, "root", edit))
+
+
+def _split_root(arrays, feature=0, threshold=0.5):
+    """Put one split over a one-tree model's root: both children are
+    copies of the old tree."""
+    n, right = arrays["right"].size, arrays["right"]
+    top = {"feature": feature, "threshold": threshold, "value": 0.0, "nonflaky": 0.0}
+    for name, first in top.items():
+        if name in arrays:
+            arrays[name] = np.concatenate([[first], arrays[name], arrays[name]])
+    arrays["right"] = np.concatenate([[1 + n], right + 1, right + 1 + n])
+    return arrays
+
+
+def _split_twice(arrays):
+    """Two levels of splits over the old tree: nodes 0 and 1 are internal."""
+    return _split_root(_split_root(arrays))
+
+
+def _two_trees(arrays):
+    """The one tree twice, as a two-tree forest."""
+    n = arrays["right"].size
+    for name in ("feature", "threshold", "value", "nonflaky"):
+        arrays[name] = np.concatenate([arrays[name], arrays[name]])
+    arrays["right"] = np.concatenate([arrays["right"], arrays["right"] + n])
+    arrays["roots"] = np.array([0, n])
+
+
+def _set(name, index, value):
+    """An edit that sets ``arrays[name][index]`` to ``value`` (or to what
+    it gives for the arrays), after two levels of splits over the root."""
+
+    def edit(arrays):
+        _split_twice(arrays)
+        arrays[name][index] = value(arrays) if callable(value) else value
+
+    return edit
+
+
+def _to_format_2(data):
+    """A format-3 bundle as format 2 wrote it: trees as nested dicts."""
+    data["format_version"] = 2
+    model = data["model"]
+    flat = FlatTrees.from_payload(model["trees"], model["n_features"], classification=True)
+    model["trees"] = [node_to_dict(tree) for tree in flat.to_nodes()]
 
 
 def _labelled_manifest(tmp_path, labels):
@@ -437,19 +495,41 @@ MALFORMED_INPUTS = {
     "bundle-missing-file": (_bundle_at, "missing.json"),
     "bundle-unreadable": (_bundle_at, "a_directory"),
     "bundle-nested-too-deep": (_bundle_with, "[" * 5000 + "]" * 5000),
+    "bundle-format-version-2": (_edited_bundle, ("rf", _to_format_2)),
+    "bundle-vocabulary-duplicate": (
+        _edited_bundle, ("dt", lambda d: d["vocabulary"].__setitem__(1, d["vocabulary"][0]))
+    ),
+    "bundle-vocabulary-not-string": (
+        _edited_bundle, ("dt", lambda d: d["vocabulary"].__setitem__(0, 7))
+    ),
     "bundle-tree-feature-out-of-range": (
-        _tampered_bundle, ("dt", lambda m: _split_root(m, feature=m["n_features"]))
+        _tampered_bundle,
+        ("dt", lambda m: _edit_trees(
+            m, "root", lambda a: _split_root(a, feature=m["n_features"]))),
     ),
-    "bundle-tree-feature-negative": (_tampered_bundle, ("dt", lambda m: _split_root(m, -1))),
-    "bundle-tree-threshold-not-finite": (
-        _tampered_bundle, ("dt", lambda m: _split_root(m, threshold=float("nan")))
+    "bundle-tree-feature-negative": _edit_dt(lambda a: _split_root(a, feature=-1)),
+    "bundle-tree-feature-not-integer": _edit_dt(
+        lambda a: a.update(feature=_split_root(a)["feature"].astype(np.float64))
     ),
-    "bundle-tree-leaf-without-dist": (
-        _tampered_bundle, ("dt", lambda m: m.update(root={"value": 0.3}))
+    "bundle-tree-threshold-not-finite": _edit_dt(
+        lambda a: _split_root(a, threshold=float("nan"))
     ),
-    "bundle-forest-without-trees": (_tampered_bundle, ("rf", lambda m: m.update(trees=[]))),
+    "bundle-tree-leaf-without-dist": _edit_dt(lambda a: a.pop("nonflaky")),
+    "bundle-tree-arrays-unequal": _edit_dt(
+        lambda a: a.update(threshold=_split_root(a)["threshold"][:-1])
+    ),
+    "bundle-tree-right-past-end": _edit_dt(_set("right", 0, lambda a: a["right"].size)),
+    "bundle-tree-right-to-own-node": _edit_dt(_set("right", 1, 1)),
+    "bundle-tree-right-to-parent": _edit_dt(_set("right", 1, 0)),
+    "bundle-tree-child-shared": _edit_dt(_set("right", 0, lambda a: a["right"][1])),
+    "bundle-dt-two-roots": _edit_dt(_two_trees),
+    "bundle-forest-without-trees": (
+        _tampered_bundle,
+        ("rf", lambda m: _edit_trees(m, "trees", lambda a: a.update(
+            {name: v[:0] for name, v in a.items()}))),
+    ),
     "bundle-boosting-leaf-without-value": (
-        _tampered_bundle, ("xgb", lambda m: m.update(trees=[{"dist": [0.5, 0.5]}]))
+        _tampered_bundle, ("xgb", lambda m: _edit_trees(m, "trees", lambda a: a.pop("value")))
     ),
     "bundle-svm-weight-nan": (
         _tampered_bundle, ("svm", lambda m: _edit_array(m, "w", _nan_first))
@@ -499,8 +579,28 @@ MALFORMED_INPUTS = {
 }
 
 
-# Cases whose one line must also say what to do.
-MALFORMED_MESSAGES = {"bundle-format-version-1": "retrain it with `qflake train`"}
+# Cases whose one line must also say what to do, or which check failed.
+_RETRAIN = "predates format 3; retrain it with `qflake train`"
+_VOCABULARY = "vocabulary must be a list of distinct strings in sorted order"
+MALFORMED_MESSAGES = {
+    "bundle-format-version-1": f"format_version 1 {_RETRAIN}",
+    "bundle-format-version-2": f"format_version 2 {_RETRAIN}",
+    "bundle-vocabulary-duplicate": _VOCABULARY,
+    "bundle-vocabulary-not-string": _VOCABULARY,
+    "bundle-tree-feature-out-of-range": "tree node 0 has feature 11, not a column index below 11",
+    "bundle-tree-feature-negative": "has feature -1, not a column index below",
+    "bundle-tree-feature-not-integer": "tree feature: array int64le must be a base64 string",
+    "bundle-tree-threshold-not-finite": "tree threshold: array holds NaN or infinite values",
+    "bundle-tree-leaf-without-dist": "tree payload has no nonflaky array",
+    "bundle-tree-arrays-unequal": "tree node arrays differ in length",
+    "bundle-tree-right-past-end": "tree node 0 has right child 7, not in (1, 7)",
+    "bundle-tree-right-to-own-node": "tree node 2 is reached from 0 places",
+    "bundle-tree-right-to-parent": "tree node 1 has right child 0, not in (2,",
+    "bundle-tree-child-shared": "is reached from 2 places",
+    "bundle-dt-two-roots": "dt model payload holds 2 trees, not one",
+    "bundle-forest-without-trees": "rf model payload holds no trees",
+    "bundle-boosting-leaf-without-value": "tree payload has no value array",
+}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))

@@ -210,6 +210,33 @@ def test_array_codec_roundtrip_is_bit_identical(a):
     ).decode("ascii")
 
 
+@given(
+    a=hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
+        | st.integers(-(2**63), 2**63 - 1),
+    )
+)
+@example(a=np.arange(5, dtype=np.intp))
+@example(a=np.zeros(0, dtype=np.intp))
+@settings(max_examples=100)
+def test_integer_array_codec_roundtrip_is_bit_identical(a):
+    """Integer arrays encode as little-endian int64 under their own key
+    and decode bit for bit, only when read as integers."""
+    payload = encode_array(a)
+    assert set(payload) == {"int64le", "shape"}
+    decoded = decode_array(json.loads(json.dumps(payload)), a.ndim, "int64le")
+    assert decoded.dtype == np.int64 and decoded.shape == a.shape
+    assert decoded.tobytes() == a.astype("<i8").tobytes()
+    assert encode_array(decoded) == payload
+    assert payload["int64le"] == base64.b64encode(
+        struct.pack(f"<{a.size}q", *a.ravel().tolist())
+    ).decode("ascii")
+    with pytest.raises(SpecInvalidError):
+        decode_array(payload, a.ndim)
+
+
 def _payload(values=(1.0, 2.0), shape=None):
     data = struct.pack(f"<{len(values)}d", *values)
     return {
@@ -238,11 +265,12 @@ CODEC_REJECTIONS = {
     "nan": (_payload(values=(1.0, float("nan"))), 1),
     "inf": (_payload(values=(float("inf"), 1.0)), 1),
     "minus-inf": (_payload(values=(1.0, float("-inf"))), 1),
+    "float-bytes-read-as-integers": (_payload(), 1, "int64le"),
 }
 
 
 @pytest.mark.parametrize("case", list(CODEC_REJECTIONS))
 def test_array_decoder_rejects_malformed_payload(case):
-    payload, ndim = CODEC_REJECTIONS[case]
+    payload, ndim, *key = CODEC_REJECTIONS[case]
     with pytest.raises(SpecInvalidError):
-        decode_array(payload, ndim)
+        decode_array(payload, ndim, *key)

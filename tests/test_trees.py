@@ -29,7 +29,7 @@ from qflake.resample import smote_resample
 from qflake.text import fit_vocabulary, tokenize, transform
 
 from dense_class_split import DenseSearch, dense_class_split
-from recursive_predict import node_to_dict, recursive_score, tree_predict_proba
+from recursive_predict import recursive_score, tree_predict_proba
 
 
 def separable_set(seed=0, n=100):
@@ -349,8 +349,10 @@ def test_flat_scores_equal_recursive_walk(
     """Scores from the flat arrays equal the recursive walk's bit for bit,
     on all rows at once and on each row alone, for trees of mixed depth
     (a single-leaf tree among them when ``with_stump``), before and after
-    a round trip through the bundle's nested dicts; the rebuilt nodes and
-    the written dicts are the ones the trees were built from."""
+    a round trip through the bundle's array payload; the rebuilt nodes are
+    the ones the trees were built from, the payload decodes to the arrays
+    (depth included) they flatten to, and a reloaded model re-encodes to
+    the same payload."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_rows, n_features)).round(1)
     classification = family in ("dt", "rf")
@@ -369,7 +371,6 @@ def test_flat_scores_equal_recursive_walk(
     if family == "dt":
         model = DecisionTreeModel(**common)
         assert model.root == trees[0]
-        assert model.to_dict()["root"] == node_to_dict(trees[0])
     elif family == "rf":
         model = RandomForestModel(**common)
     else:
@@ -382,7 +383,16 @@ def test_flat_scores_equal_recursive_walk(
         )
     if family != "dt":
         assert model.trees == trees
-        assert model.to_dict()["trees"] == [node_to_dict(t) for t in trees]
+
+    payload = model.to_dict()["root" if family == "dt" else "trees"]
+    decoded = FlatTrees.from_payload(payload, n_features, classification)
+    assert decoded.depth == flat.depth
+    for name in ("feature", "threshold", "left", "right", "value", "nonflaky", "roots"):
+        a, b = getattr(decoded, name), getattr(flat, name)
+        if b is None:
+            assert a is None and name not in payload
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     reloaded = model_from_dict(model.to_dict())
     assert reloaded.to_dict() == model.to_dict()

@@ -16,8 +16,9 @@ the same string, so save -> load -> save is byte-stable, a retrain with
 the same seed reproduces the file exactly, and a loaded bundle scores
 exactly as the trained one. Formats 1 (arrays as nested lists) and 2
 (trees as nested dicts) are refused with a request to retrain: the bundle
-records the seed and corpus hash that reproduce it. The vocabulary must
-be distinct strings in sorted order, as training writes it. Creation
+records the seed and corpus hash that reproduce it. The tokenizer must be
+a known profile name, and the vocabulary distinct strings in sorted order,
+as training writes them. Creation
 time is only recorded when SOURCE_DATE_EPOCH is set; a wall clock would
 break byte-identical reruns.
 """
@@ -85,6 +86,12 @@ class ModelBundle:
             raise ConfigError(
                 f"unsupported bundle format_version {version!r}; expected {FORMAT_VERSION}"
             )
+        tokenizer = d["tokenizer"]
+        if type(tokenizer) is not str:
+            raise SpecInvalidError(
+                f"bundle tokenizer must be a profile name, got {tokenizer!r:.40}"
+            )
+        get_tokenizer_profile(tokenizer)
         tokens = d["vocabulary"]
         if not (
             isinstance(tokens, list)
@@ -136,7 +143,7 @@ class ModelBundle:
             smote_synthetic=metadata.get("smote_synthetic", 0),
         )
         return cls(
-            tokenizer=d["tokenizer"],
+            tokenizer=tokenizer,
             pipeline=pipeline,
             metadata=metadata,
             format_version=version,
@@ -160,7 +167,7 @@ class ModelBundle:
         # level, so a deeply nested file raises RecursionError
         try:
             return cls.from_dict(json.loads(text))
-        except ConfigError as exc:  # the format version
+        except ConfigError as exc:  # the format version or the tokenizer
             raise ConfigError(f"{path}: {exc}") from None
         except (
             ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError

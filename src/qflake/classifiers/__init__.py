@@ -70,6 +70,9 @@ def model_from_dict(d: dict):
         cls = _MODEL_CLASSES[family]
     except KeyError:
         raise SpecInvalidError(f"unknown model family in payload: {family!r}") from None
+    flags = d.get("flags", [])
+    if not (isinstance(flags, list) and all(type(f) is str for f in flags)):
+        raise SpecInvalidError(f"model flags must be a list of strings, got {flags!r:.40}")
     return cls.from_dict(d)
 
 

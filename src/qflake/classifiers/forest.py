@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import SpecInvalidError
 from ..seeding import STREAM_MODEL, rng_for
 from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
-from .tree import CRITERIA, FlatTrees, SplitSearch, TreeNode, grow_class_tree
+from .tree import CRITERIA, FlatTrees, NodeArrays, SplitSearch, TreeNode, grow_class_tree
 
 _RF_PARAMS = {
     "n_estimators": (REQUIRED, lambda v: isinstance(v, int) and v >= 1),
@@ -58,13 +58,12 @@ class RandomForestModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForestModel":
-        n_features = int(d["n_features"])
-        flat = FlatTrees.from_payload(d["trees"], n_features, classification=True)
+        flat = FlatTrees.from_payload(d["trees"], d["n_features"])
         if not flat.roots.size:
             raise SpecInvalidError("rf model payload holds no trees")
         return cls(
             flat=flat,
-            n_features=n_features,
+            n_features=d["n_features"],
             params=dict(d["params"]),
             seed=d.get("seed"),
             flags=tuple(d.get("flags", ())),
@@ -78,23 +77,22 @@ def train_random_forest(X, y, params=None, seed=0) -> RandomForestModel:
     max_features = min(d, math.ceil(math.sqrt(d)))
     # every bootstrap sample has n rows, so one search serves every tree
     search = SplitSearch(X, y, resolved["criterion"])
-    trees = []
+    nodes = NodeArrays()
     for t in range(resolved["n_estimators"]):
         rng = rng_for(seed, STREAM_MODEL, t)
         sample = rng.integers(0, n, size=n)
-        trees.append(
-            grow_class_tree(
-                search,
-                sample,
-                max_depth=resolved["max_depth"],
-                min_samples_leaf=resolved["min_samples_leaf"],
-                min_samples_split=resolved["min_samples_split"],
-                max_features=max_features,
-                rng=rng,
-            )
+        grow_class_tree(
+            search,
+            sample,
+            nodes,
+            max_depth=resolved["max_depth"],
+            min_samples_leaf=resolved["min_samples_leaf"],
+            min_samples_split=resolved["min_samples_split"],
+            max_features=max_features,
+            rng=rng,
         )
     return RandomForestModel(
-        flat=FlatTrees.from_nodes(trees, classification=True),
+        flat=nodes.flat(),
         n_features=d,
         params=resolved,
         seed=seed,

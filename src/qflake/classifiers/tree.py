@@ -15,33 +15,39 @@ that leave at least ``min_samples_leaf`` rows on each side are scored,
 each by three table lookups, so a gain is the same arithmetic on the same
 values as evaluating impurity at every row boundary would be.
 
-Growers build ``TreeNode``s; a fit flattens all of its model's trees once
-into one ``FlatTrees``: parallel node arrays ``feature``, ``threshold``,
-``left``, ``right`` and leaf ``value``, one root index per tree, and the
-deepest tree's depth. Scoring moves every (tree, row) pair one level per
-step, all pairs at once: ``go = X[row, feature[node]] <= threshold[node]``,
-then ``node = where(go, left, right)``. A leaf's children are the leaf
-itself (its feature is column 0, which exists whenever a tree has a
-split), so a pair that reaches a leaf early stays there, and after
-``depth`` steps every pair sits at its leaf, whatever its own tree's
-depth, with no test for leaves in the loop. The comparisons and leaf
-values are the ones a recursive walk makes; forests and boosting add the
-per-tree values in tree order, so scores are bit-identical to adding one
-tree at a time.
+A tree lives only as node arrays from the moment it is grown. Growers
+append each node, in pre-order, to one ``NodeArrays`` per fit (a forest's
+trees and a boosting fit's rounds share it), and ``NodeArrays.flat``
+turns the lists into one ``FlatTrees``: parallel node arrays ``feature``,
+``threshold``, ``left``, ``right`` and ``value``, one root index per
+tree, and the deepest tree's depth. A leaf holds one value, its score.
+``TreeNode``s are only a read-only view that ``FlatTrees.to_nodes``
+rebuilds for ``.root`` and ``.trees``.
+
+Scoring moves every (tree, row) pair one level per step, all pairs at
+once: ``go = X[row, feature[node]] <= threshold[node]``, then ``node =
+where(go, left, right)``. A leaf's children are the leaf itself (its
+feature is column 0, which exists whenever a tree has a split), so a pair
+that reaches a leaf early stays there, and after ``depth`` steps every
+pair sits at its leaf, whatever its own tree's depth, with no test for
+leaves in the loop. The comparisons and leaf values are the ones a
+recursive walk makes; forests and boosting add the per-tree values in
+tree order, so scores are bit-identical to adding one tree at a time.
 
 A bundle stores the arrays themselves, each through the codec in
 ``linalg`` (base64 of little-endian int64 or float64): ``feature``,
-``threshold``, ``right``, ``value``, ``roots``, and ``nonflaky`` for
-classification trees. ``left`` is not stored: nodes are in pre-order, so a
-node is a leaf iff ``right[i] == i`` and an internal node's left child is
-``i + 1``. Nor is ``depth``: a file that understated it would stop walks
-at internal nodes and silently score 0.0, so it is computed on load, one
-numpy step per tree level. Loading checks the structure with a few
-whole-array operations instead of a walk per node. Every internal node
-needs ``i + 1 < right[i] < n``, and every node must be a root or the child
-of exactly one parent (a ``bincount`` over roots and children). Children
-then have higher indices than their parents, so the nodes form a forest
-and every walk from a root ends at a leaf.
+``threshold``, ``right``, ``value`` and ``roots``. ``left`` is not
+stored: nodes are in pre-order, so a node is a leaf iff ``right[i] == i``
+and an internal node's left child is ``i + 1``. Nor is ``depth``: a file
+that understated it would stop walks at internal nodes and silently score
+0.0, so it is computed on load, one numpy step per tree level. Loading
+checks the structure with a few whole-array operations instead of a walk
+per node. Every internal node needs ``i + 1 < right[i] < n``, and every
+node must be a root or the child of exactly one parent (a ``bincount``
+over roots and children). Children then have higher indices than their
+parents, so the nodes form a forest and every walk from a root ends at a
+leaf. A bundle written before leaves held one value also stores each
+leaf's nonflaky fraction as ``nonflaky``; loading ignores it.
 """
 
 from __future__ import annotations
@@ -76,19 +82,15 @@ def impurity(labels, criterion: str) -> float:
 
 @dataclass
 class TreeNode:
-    """Internal node (feature/threshold/left/right) or leaf, as growers
-    build them.
-
-    Classification leaves carry ``distribution`` (nonflaky, flaky)
-    fractions; regression leaves used by boosting carry ``value``.
-    Rows with feature <= threshold go left.
+    """One node of a tree as ``FlatTrees.to_nodes`` rebuilds it, for
+    reading: an internal node (feature/threshold/left/right) or a leaf
+    holding its ``value``. Rows with feature <= threshold go left.
     """
 
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    distribution: tuple[float, float] | None = None
     value: float | None = None
 
     @property
@@ -96,45 +98,39 @@ class TreeNode:
         return self.feature is None
 
 
-def tree_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
-def _preorder(trees, classification):
-    """Walk ``TreeNode`` trees in pre-order with an explicit stack.
-
-    Returns per-node feature, threshold, right child, leaf value and leaf
-    nonflaky fraction lists (0 and 0.0 where a node has none), and each
-    tree's root index. An internal node's left child is the next node;
-    its right child's index is recorded when that child is popped, and a
-    leaf is its own right child.
+class NodeArrays:
+    """Trees as growers build them: parallel node lists in pre-order and
+    one root index per tree. A grower appends a tree's root index to
+    ``roots``, then its nodes with ``leaf`` and ``split``; once node
+    ``i``'s left subtree is done, it sets ``right[i]`` to the next index.
     """
-    feature, threshold, right, value, nonflaky, roots = [], [], [], [], [], []
-    for tree in trees:
-        roots.append(len(feature))
-        stack = [(tree, -1)]
-        while stack:
-            node, parent = stack.pop()
-            i = len(feature)
-            if parent >= 0:
-                right[parent] = i
-            right.append(i)
-            if node.is_leaf:
-                feature.append(0)
-                threshold.append(0.0)
-                pair = node.distribution if classification else (0.0, node.value)
-                nonflaky.append(pair[0])
-                value.append(pair[1])
-            else:
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                nonflaky.append(0.0)
-                value.append(0.0)
-                stack.append((node.right, i))
-                stack.append((node.left, -1))
-    return feature, threshold, right, value, nonflaky, roots
+
+    def __init__(self):
+        self.feature, self.threshold, self.right, self.value = [], [], [], []
+        self.roots = []
+
+    def _add(self, feature, threshold, value) -> int:
+        i = len(self.right)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.right.append(i)
+        self.value.append(value)
+        return i
+
+    def leaf(self, value) -> int:
+        return self._add(0, 0.0, value)
+
+    def split(self, feature, threshold) -> int:
+        return self._add(feature, threshold, 0.0)
+
+    def flat(self) -> "FlatTrees":
+        return FlatTrees._with_derived(
+            np.array(self.feature, dtype=np.intp),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.right, dtype=np.intp),
+            np.array(self.value, dtype=np.float64),
+            np.array(self.roots, dtype=np.intp),
+        )
 
 
 # The arrays of a saved FlatTrees, and the codec key each is stored under.
@@ -143,7 +139,6 @@ _PAYLOAD_KEYS = {
     "threshold": "float64le",
     "right": "int64le",
     "value": "float64le",
-    "nonflaky": "float64le",
     "roots": "int64le",
 }
 
@@ -153,11 +148,10 @@ class FlatTrees:
     """All trees of one model as flat node arrays, nodes in pre-order.
 
     ``value`` is a leaf's score: its flaky fraction, or its regression
-    value. Classification leaves also keep their nonflaky fraction in
-    ``nonflaky``, which is None for regression trees. Internal nodes hold
-    0.0 in both; leaves hold feature 0, threshold 0.0 and themselves as
-    children. ``left`` and ``depth`` follow from ``right`` and ``roots``
-    (``_with_derived``), so a bundle stores neither.
+    value; internal nodes hold 0.0. Leaves hold feature 0, threshold 0.0
+    and themselves as children. ``left`` and ``depth`` follow from
+    ``right`` and ``roots`` (``_with_derived``), so a bundle stores
+    neither.
     """
 
     feature: np.ndarray
@@ -165,12 +159,11 @@ class FlatTrees:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    nonflaky: np.ndarray | None
     roots: np.ndarray
     depth: int
 
     @classmethod
-    def _with_derived(cls, feature, threshold, right, value, nonflaky, roots) -> "FlatTrees":
+    def _with_derived(cls, feature, threshold, right, value, roots) -> "FlatTrees":
         """The trees of ``right`` and ``roots``, whose node ``i`` is a leaf
         iff ``right[i] == i`` and otherwise has left child ``i + 1``; the
         depth comes from a walk down from the roots, one level per step."""
@@ -188,36 +181,19 @@ class FlatTrees:
             left=left,
             right=right,
             value=value,
-            nonflaky=nonflaky,
             roots=roots,
             depth=depth,
         )
 
-    @classmethod
-    def from_nodes(cls, trees, classification: bool) -> "FlatTrees":
-        """Flatten grown ``TreeNode`` trees."""
-        feature, threshold, right, value, nonflaky, roots = _preorder(trees, classification)
-        return cls._with_derived(
-            np.array(feature, dtype=np.intp),
-            np.array(threshold, dtype=np.float64),
-            np.array(right, dtype=np.intp),
-            np.array(value, dtype=np.float64),
-            np.array(nonflaky, dtype=np.float64) if classification else None,
-            np.array(roots, dtype=np.intp),
-        )
-
     def to_payload(self) -> dict:
         """The arrays a bundle stores, each through ``linalg.encode_array``."""
-        return {
-            name: encode_array(getattr(self, name))
-            for name in _PAYLOAD_KEYS
-            if getattr(self, name) is not None
-        }
+        return {name: encode_array(getattr(self, name)) for name in _PAYLOAD_KEYS}
 
     @classmethod
-    def from_payload(cls, payload, n_features: int, classification: bool) -> "FlatTrees":
+    def from_payload(cls, payload, n_features) -> "FlatTrees":
         """Decode and check a saved payload with whole-array operations;
-        anything but a forest of well-formed trees raises SpecInvalidError.
+        anything but a forest of well-formed trees over ``n_features``
+        columns (an int, at least 1) raises SpecInvalidError.
 
         Every internal node ``i`` must have ``i + 1 < right[i] < n``, and
         every node must be a root or the child of exactly one parent.
@@ -227,11 +203,12 @@ class FlatTrees:
         would silently read another row's column), a leaf's must be 0 (it
         is read, and ignored, while its walk waits for deeper trees), and
         thresholds and leaf values must be finite (the codec checks)."""
+        if type(n_features) is not int or n_features < 1:
+            raise SpecInvalidError(f"n_features must be an integer >= 1, got {n_features!r}")
         if not isinstance(payload, dict):
             raise SpecInvalidError(f"tree payload must be a JSON object, got {payload!r:.40}")
-        names = [n for n in _PAYLOAD_KEYS if classification or n != "nonflaky"]
         arrays = {}
-        for name in names:
+        for name in _PAYLOAD_KEYS:
             if name not in payload:
                 raise SpecInvalidError(f"tree payload has no {name} array")
             try:
@@ -268,14 +245,7 @@ class FlatTrees:
             i = int(bad.argmax())
             what = f"a column index below {n_features}" if internal[i] else "0 at a leaf"
             raise SpecInvalidError(f"tree node {i} has feature {feature[i]}, not {what}")
-        return cls._with_derived(
-            feature,
-            arrays["threshold"],
-            right,
-            arrays["value"],
-            arrays.get("nonflaky"),
-            roots,
-        )
+        return cls._with_derived(feature, arrays["threshold"], right, arrays["value"], roots)
 
     def to_nodes(self) -> list[TreeNode]:
         """Each tree as ``TreeNode``s, rebuilt from the arrays: children
@@ -283,7 +253,6 @@ class FlatTrees:
         feature, threshold = self.feature.tolist(), self.threshold.tolist()
         left, right = self.left.tolist(), self.right.tolist()
         value = self.value.tolist()
-        nonflaky = None if self.nonflaky is None else self.nonflaky.tolist()
         built = [None] * len(feature)
         for i in reversed(range(len(feature))):
             if left[i] != i:
@@ -293,10 +262,8 @@ class FlatTrees:
                     left=built[left[i]],
                     right=built[right[i]],
                 )
-            elif nonflaky is None:
-                built[i] = TreeNode(value=value[i])
             else:
-                built[i] = TreeNode(distribution=(nonflaky[i], value[i]))
+                built[i] = TreeNode(value=value[i])
         return [built[r] for r in self.roots.tolist()]
 
     def leaf_values(self, X) -> np.ndarray:
@@ -388,14 +355,16 @@ class SplitSearch:
 def grow_class_tree(
     search: SplitSearch,
     rows,
+    nodes: NodeArrays,
     max_depth=None,
     min_samples_leaf=1,
     min_samples_split=2,
     max_features=None,
     rng=None,
-) -> TreeNode:
+) -> None:
     """Greedy recursive partitioning of ``rows`` of the fit ``search``
-    was built on, with 0/1 labels. Rows may repeat, as in a bootstrap
+    was built on, with 0/1 labels, appended to ``nodes`` as one tree whose
+    leaves hold their flaky fraction. Rows may repeat, as in a bootstrap
     sample.
 
     ``max_features`` with a Generator samples that many candidate columns
@@ -408,29 +377,30 @@ def grow_class_tree(
     def build(idx, depth):
         n = len(idx)
         pos = np.count_nonzero(y[idx])
-        leaf = TreeNode(distribution=((n - pos) / n, pos / n))
         if depth >= depth_cap or n < min_samples_split or pos in (0, n):
-            return leaf
+            nodes.leaf(pos / n)
+            return
         if max_features is not None and max_features < d:
             feats = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             feats = np.arange(d)
         found = search.best_split(idx, feats, min_samples_leaf)
         if found is None:
-            return leaf
+            nodes.leaf(pos / n)
+            return
         feature, threshold = found
         mask = columns[feature, idx] <= threshold
-        node = TreeNode(feature=feature, threshold=threshold)
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
-        return node
+        i = nodes.split(feature, threshold)
+        build(idx[mask], depth + 1)
+        nodes.right[i] = len(nodes.right)
+        build(idx[~mask], depth + 1)
 
-    root = build(rows, 0)
+    nodes.roots.append(len(nodes.right))
+    build(rows, 0)
     # build's closure holds build itself, so the cycle would keep the
     # fit's matrices alive until the next garbage collection; a forest
     # leaves one cycle per tree
     del build
-    return root
 
 
 _DT_PARAMS = {
@@ -470,13 +440,12 @@ class DecisionTreeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTreeModel":
-        n_features = int(d["n_features"])
-        flat = FlatTrees.from_payload(d["root"], n_features, classification=True)
+        flat = FlatTrees.from_payload(d["root"], d["n_features"])
         if flat.roots.size != 1:
             raise SpecInvalidError(f"dt model payload holds {flat.roots.size} trees, not one")
         return cls(
             flat=flat,
-            n_features=n_features,
+            n_features=d["n_features"],
             params=dict(d["params"]),
             seed=d.get("seed"),
             flags=tuple(d.get("flags", ())),
@@ -486,15 +455,17 @@ class DecisionTreeModel:
 def train_decision_tree(X, y, params=None, seed=0) -> DecisionTreeModel:
     X, y = check_training_data(X, y)
     resolved = validate_params("dt", params or {}, _DT_PARAMS)
-    root = grow_class_tree(
+    nodes = NodeArrays()
+    grow_class_tree(
         SplitSearch(X, y, resolved["criterion"]),
         np.arange(X.shape[0]),
+        nodes,
         max_depth=resolved["max_depth"],
         min_samples_leaf=resolved["min_samples_leaf"],
         min_samples_split=resolved["min_samples_split"],
     )
     return DecisionTreeModel(
-        flat=FlatTrees.from_nodes([root], classification=True),
+        flat=nodes.flat(),
         n_features=X.shape[1],
         params=resolved,
         seed=seed,

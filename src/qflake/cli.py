@@ -508,9 +508,6 @@ def main(argv=None) -> int:
         if int(seed) < 0:
             raise ConfigError("--seed must be non-negative")
         return _COMMANDS[args.command](args, file_config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except QflakeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

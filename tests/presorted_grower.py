@@ -4,7 +4,9 @@ sparse-histogram grower in ``qflake.classifiers.boosting`` must match.
 It sorts every column of the node's rows (one stable argsort of X, then
 partitioned down the recursion so each node stays sorted), takes prefix
 sums of g and h in each column's own order, and scores every boundary
-between consecutive distinct sorted values.
+between consecutive distinct sorted values. ``append_tree`` appends the
+``TreeNode`` tree it grows to a ``NodeArrays`` in pre-order, as the
+growers in ``qflake`` append theirs.
 """
 
 import numpy as np
@@ -54,3 +56,19 @@ def grow_presorted_tree(X, g, h, max_depth, lam=1.0) -> TreeNode:
         return node
 
     return build(np.argsort(X, axis=0, kind="stable"), 0)
+
+
+def append_tree(nodes, node) -> None:
+    """Append ``node``'s tree to ``nodes``, nodes in pre-order."""
+    nodes.roots.append(len(nodes.right))
+
+    def append(node):
+        if node.is_leaf:
+            nodes.leaf(node.value)
+            return
+        i = nodes.split(node.feature, node.threshold)
+        append(node.left)
+        nodes.right[i] = len(nodes.right)
+        append(node.right)
+
+    append(node)

@@ -12,26 +12,20 @@ import numpy as np
 from qflake.classifiers import sigmoid
 
 
-def _fill_predictions(node, X, idx, out, leaf_value):
+def _fill_predictions(node, X, idx, out):
     if node.is_leaf:
-        out[idx] = leaf_value(node)
+        out[idx] = node.value
         return
     go_left = X[idx, node.feature] <= node.threshold
-    _fill_predictions(node.left, X, idx[go_left], out, leaf_value)
-    _fill_predictions(node.right, X, idx[~go_left], out, leaf_value)
-
-
-def tree_predict_proba(node, X) -> np.ndarray:
-    """Per-row flaky-class probability from leaf distributions."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    _fill_predictions(node, X, np.arange(X.shape[0]), out, lambda n: n.distribution[1])
-    return out
+    _fill_predictions(node.left, X, idx[go_left], out)
+    _fill_predictions(node.right, X, idx[~go_left], out)
 
 
 def tree_predict_value(node, X) -> np.ndarray:
-    """Per-row regression output from leaf values (boosting trees)."""
+    """Per-row leaf value: a flaky fraction (dt, rf) or a regression
+    output (boosting)."""
     out = np.empty(X.shape[0], dtype=np.float64)
-    _fill_predictions(node, X, np.arange(X.shape[0]), out, lambda n: n.value)
+    _fill_predictions(node, X, np.arange(X.shape[0]), out)
     return out
 
 
@@ -39,11 +33,11 @@ def recursive_score(model, X) -> np.ndarray:
     """A dt, rf or xgb model's scores, tree by tree."""
     X = np.asarray(X, dtype=np.float64)
     if model.family == "dt":
-        return tree_predict_proba(model.root, X)
+        return tree_predict_value(model.root, X)
     if model.family == "rf":
         acc = np.zeros(X.shape[0], dtype=np.float64)
         for tree in model.trees:
-            acc += tree_predict_proba(tree, X)
+            acc += tree_predict_value(tree, X)
         return acc / len(model.trees)
     if "degenerate_labels" in model.flags:
         return np.full(X.shape[0], model.prior, dtype=np.float64)
@@ -53,15 +47,16 @@ def recursive_score(model, X) -> np.ndarray:
     return sigmoid(out)
 
 
-def node_to_dict(node) -> dict:
-    """A ``TreeNode`` tree as the nested dicts a bundle stores."""
+def node_to_dict(node, classification) -> dict:
+    """A ``TreeNode`` tree as the nested dicts a format-2 bundle stored;
+    a classification leaf held its (nonflaky, flaky) fractions."""
     if node.is_leaf:
-        if node.distribution is not None:
-            return {"dist": [float(node.distribution[0]), float(node.distribution[1])]}
-        return {"value": float(node.value)}
+        if classification:
+            return {"dist": [1.0 - node.value, node.value]}
+        return {"value": node.value}
     return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": node_to_dict(node.left),
-        "right": node_to_dict(node.right),
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": node_to_dict(node.left, classification),
+        "right": node_to_dict(node.right, classification),
     }

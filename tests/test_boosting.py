@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflake.classifiers import boosting, get_profile, sigmoid, train_gbt
-from qflake.classifiers.tree import tree_depth
+from qflake.classifiers.tree import NodeArrays
 from qflake.errors import DimensionMismatchError, SpecInvalidError
 
-from presorted_grower import grow_presorted_tree
+from presorted_grower import append_tree, grow_presorted_tree
 from recursive_predict import recursive_score, tree_predict_value
 from test_trees import COLUMN_KINDS, fold0_training_matrix, make_columns, separable_set
 
@@ -69,7 +69,7 @@ class TestGradientBoosting:
         for j in range(2):
             X[:k, j] = rng.permutation(k)
             X[k:, j] = k + rng.permutation(n - k)
-        tree, _ = boosting.ExactBins(X).grow(g, h, max_depth=1)
+        tree, _ = grown_tree(boosting.ExactBins(X), g, h, max_depth=1)
         assert tree.threshold == k - 0.5
         assert tree.feature == 0
 
@@ -80,7 +80,7 @@ class TestGradientBoosting:
         model = train_gbt(
             X, y, {"learning_rate": 0.3, "max_depth": 2, "n_estimators": 15}
         )
-        assert all(tree_depth(t) <= 2 for t in model.trees)
+        assert model.flat.depth <= 2
 
     def test_leaf_values_match_closed_form(self):
         """Re-run the boosting recursion independently: walk each stored
@@ -156,9 +156,19 @@ class PresortedBins:
     def __init__(self, X):
         self.X = X
 
-    def grow(self, g, h, max_depth, lam=LAM):
+    def grow(self, g, h, max_depth, nodes, lam=LAM):
         tree = grow_presorted_tree(self.X, g, h, max_depth, lam)
-        return tree, tree_predict_value(tree, self.X)
+        append_tree(nodes, tree)
+        return tree_predict_value(tree, self.X)
+
+
+def grown_tree(bins, g, h, max_depth):
+    """The tree ``bins`` grows, as its ``TreeNode`` view, and each row's
+    leaf value."""
+    nodes = NodeArrays()
+    row_value = bins.grow(g, h, max_depth, nodes)
+    (tree,) = nodes.flat().to_nodes()
+    return tree, row_value
 
 
 def assert_same_tree(tree, reference):
@@ -196,10 +206,10 @@ def test_exact_bins_grow_the_presorted_tree(n, kinds, max_depth, constant_p, see
         g = p - y
         h = p * (1.0 - p)
         reference = grow_presorted_tree(X, g, h, max_depth)
-        tree, row_value = bins.grow(g, h, max_depth)
+        tree, row_value = grown_tree(bins, g, h, max_depth)
         assert_same_tree(tree, reference)
         assert np.array_equal(row_value, tree_predict_value(tree, X))
-        assert_same_tree(boosting.ExactBins(X).grow(g, h, max_depth)[0], reference)
+        assert_same_tree(grown_tree(boosting.ExactBins(X), g, h, max_depth)[0], reference)
 
 
 @pytest.mark.parametrize("profile", ["paper_vanilla", "paper_smote"])

@@ -68,6 +68,30 @@ class TestBundle:
             for text in texts[:5]:
                 assert np.array_equal(bundle.score_texts([text]), loaded.score_texts([text]))
 
+    @pytest.mark.parametrize("family", ["dt", "rf"])
+    def test_leaf_nonflaky_fractions_are_ignored_on_load(self, family, tiny_corpus, tmp_path):
+        """A dt or rf bundle that also stores each leaf's nonflaky fraction,
+        as bundles written before leaves held one value did, loads and
+        scores bit for bit as the same bundle without it, and saves
+        without it."""
+        texts = [e.text for e in tiny_corpus]
+        bundle = train_bundle(tiny_corpus, PipelineConfig.from_profile(family, "paper_vanilla"))
+        plain = tmp_path / "plain.json"
+        bundle.save(plain)
+        data = bundle.to_dict()
+        arrays = data["model"]["root" if family == "dt" else "trees"]
+        right, value = _decoded(arrays, "right"), _decoded(arrays, "value")
+        leaf = right == np.arange(right.size)
+        arrays["nonflaky"] = linalg.encode_array(np.where(leaf, 1.0 - value, 0.0))
+        old = tmp_path / "with_nonflaky.json"
+        old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+        loaded, expected = ModelBundle.load(old), ModelBundle.load(plain)
+        assert np.array_equal(loaded.score_texts(texts), expected.score_texts(texts))
+        for text in texts[:5]:
+            assert np.array_equal(loaded.score_texts([text]), expected.score_texts([text]))
+        assert loaded.to_json() == plain.read_text()
+
     def test_default_threshold_is_half(self, tiny_corpus):
         config = PipelineConfig.from_profile("xgb", "paper_vanilla")
         bundle = train_bundle(tiny_corpus, config, seed=1)
@@ -291,10 +315,15 @@ def _bundle_at(tmp_path, name):
     return ["predict", "--bundle", tmp_path / name, tmp_path / "a.py"]
 
 
-def _edited_bundle(tmp_path, payload):
-    """A trained bundle of ``family`` whose JSON ``edit`` changed."""
+# Labels of the six files a trainable manifest holds.
+_TWO_FLAKY = ("flaky",) * 2 + ("nonflaky",) * 4
+
+
+def _edited_bundle(tmp_path, payload, labels=_TWO_FLAKY):
+    """A bundle of ``family``, trained on files of ``labels``, whose JSON
+    ``edit`` changed."""
     family, edit = payload
-    manifest = _trainable_manifest(tmp_path)
+    manifest = _trainable_manifest(tmp_path, labels)
     bundle = tmp_path / "bundle.json"
     assert cli.main(["train", "--manifest", str(manifest), "--family", family,
                      "--out", str(bundle)]) == 0
@@ -302,6 +331,11 @@ def _edited_bundle(tmp_path, payload):
     edit(data)
     bundle.write_text(json.dumps(data))
     return ["predict", "--bundle", bundle, tmp_path / "t0.py"]
+
+
+def _one_class_bundle(tmp_path, payload):
+    """A bundle trained on nonflaky files only, whose JSON ``edit`` changed."""
+    return _edited_bundle(tmp_path, payload, ("nonflaky",) * 6)
 
 
 def _tampered_bundle(tmp_path, payload):
@@ -352,10 +386,9 @@ def _split_root(arrays, feature=0, threshold=0.5):
     """Put one split over a one-tree model's root: both children are
     copies of the old tree."""
     n, right = arrays["right"].size, arrays["right"]
-    top = {"feature": feature, "threshold": threshold, "value": 0.0, "nonflaky": 0.0}
+    top = {"feature": feature, "threshold": threshold, "value": 0.0}
     for name, first in top.items():
-        if name in arrays:
-            arrays[name] = np.concatenate([[first], arrays[name], arrays[name]])
+        arrays[name] = np.concatenate([[first], arrays[name], arrays[name]])
     arrays["right"] = np.concatenate([[1 + n], right + 1, right + 1 + n])
     return arrays
 
@@ -368,7 +401,7 @@ def _split_twice(arrays):
 def _two_trees(arrays):
     """The one tree twice, as a two-tree forest."""
     n = arrays["right"].size
-    for name in ("feature", "threshold", "value", "nonflaky"):
+    for name in ("feature", "threshold", "value"):
         arrays[name] = np.concatenate([arrays[name], arrays[name]])
     arrays["right"] = np.concatenate([arrays["right"], arrays["right"] + n])
     arrays["roots"] = np.array([0, n])
@@ -389,8 +422,8 @@ def _to_format_2(data):
     """A format-3 bundle as format 2 wrote it: trees as nested dicts."""
     data["format_version"] = 2
     model = data["model"]
-    flat = FlatTrees.from_payload(model["trees"], model["n_features"], classification=True)
-    model["trees"] = [node_to_dict(tree) for tree in flat.to_nodes()]
+    flat = FlatTrees.from_payload(model["trees"], model["n_features"])
+    model["trees"] = [node_to_dict(tree, classification=True) for tree in flat.to_nodes()]
 
 
 def _labelled_manifest(tmp_path, labels):
@@ -440,8 +473,8 @@ def _tokenless(tmp_path, command):
     return [command, "--manifest", manifest, *args]
 
 
-def _trainable_manifest(tmp_path):
-    manifest = _labelled_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 4)
+def _trainable_manifest(tmp_path, labels=_TWO_FLAKY):
+    manifest = _labelled_manifest(tmp_path, labels)
     for i, source in enumerate(sorted(tmp_path.glob("t*.py"))):
         source.write_text(f"def test_case{i}():\n    assert qubit_{i % 2} == expected\n")
     return manifest
@@ -514,7 +547,6 @@ MALFORMED_INPUTS = {
     "bundle-tree-threshold-not-finite": _edit_dt(
         lambda a: _split_root(a, threshold=float("nan"))
     ),
-    "bundle-tree-leaf-without-dist": _edit_dt(lambda a: a.pop("nonflaky")),
     "bundle-tree-arrays-unequal": _edit_dt(
         lambda a: a.update(threshold=_split_root(a)["threshold"][:-1])
     ),
@@ -555,6 +587,19 @@ MALFORMED_INPUTS = {
         _tampered_bundle, ("knn", lambda m: m["y_train"].__setitem__(0, 3))
     ),
     "bundle-threshold-nan": (_edited_bundle, ("dt", lambda d: d.update(threshold=float("nan")))),
+    "bundle-n-features-string": (
+        _tampered_bundle, ("xgb", lambda m: m.update(n_features=str(m["n_features"])))
+    ),
+    "bundle-n-features-fraction": (
+        _tampered_bundle, ("rf", lambda m: m.update(n_features=m["n_features"] + 0.7))
+    ),
+    "bundle-flags-not-list": (
+        _one_class_bundle, ("xgb", lambda d: d["model"].update(flags="degenerate_labels"))
+    ),
+    "bundle-tokenizer-not-string": (
+        _edited_bundle, ("dt", lambda d: d.update(tokenizer=["default"]))
+    ),
+    "bundle-tokenizer-unknown": (_edited_bundle, ("xgb", lambda d: d.update(tokenizer="bogus"))),
     "experiment-empty-manifest": (_experiment_on, []),
     "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
     "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),
@@ -591,7 +636,6 @@ MALFORMED_MESSAGES = {
     "bundle-tree-feature-negative": "has feature -1, not a column index below",
     "bundle-tree-feature-not-integer": "tree feature: array int64le must be a base64 string",
     "bundle-tree-threshold-not-finite": "tree threshold: array holds NaN or infinite values",
-    "bundle-tree-leaf-without-dist": "tree payload has no nonflaky array",
     "bundle-tree-arrays-unequal": "tree node arrays differ in length",
     "bundle-tree-right-past-end": "tree node 0 has right child 7, not in (1, 7)",
     "bundle-tree-right-to-own-node": "tree node 2 is reached from 0 places",
@@ -600,6 +644,12 @@ MALFORMED_MESSAGES = {
     "bundle-dt-two-roots": "dt model payload holds 2 trees, not one",
     "bundle-forest-without-trees": "rf model payload holds no trees",
     "bundle-boosting-leaf-without-value": "tree payload has no value array",
+    "bundle-n-features-string": "n_features must be an integer >= 1, got '",
+    "bundle-n-features-fraction": "n_features must be an integer >= 1, got ",
+    "bundle-flags-not-list": "model flags must be a list of strings, got 'degenerate_labels'",
+    "bundle-tokenizer-not-string": "bundle tokenizer must be a profile name, got ['default']",
+    # the name is checked on load, so the line names the bundle
+    "bundle-tokenizer-unknown": "bundle.json: unknown tokenizer profile 'bogus'",
 }
 
 

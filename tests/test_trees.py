@@ -19,9 +19,8 @@ from qflake.classifiers import (
 from qflake.classifiers.tree import (
     CRITERIA,
     FlatTrees,
+    NodeArrays,
     SplitSearch,
-    TreeNode,
-    tree_depth,
 )
 from qflake.corpus import Label, stratified_folds
 from qflake.errors import EmptySetError, SpecInvalidError
@@ -29,7 +28,7 @@ from qflake.resample import smote_resample
 from qflake.text import fit_vocabulary, tokenize, transform
 
 from dense_class_split import DenseSearch, dense_class_split
-from recursive_predict import recursive_score, tree_predict_proba
+from recursive_predict import recursive_score, tree_predict_value
 
 
 def separable_set(seed=0, n=100):
@@ -130,7 +129,7 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 1, 1])
         model = train_decision_tree(X, y, {"min_samples_split": 2})
-        assert tree_depth(model.root) == 1
+        assert model.flat.depth == 1
         assert 1.0 < model.root.threshold < 10.0
         assert np.array_equal((model.score(X) >= 0.5).astype(int), y)
 
@@ -154,7 +153,7 @@ class TestDecisionTree:
         y = (rng.random(120) < 0.4).astype(np.int8)
         for cap in (1, 2, 3):
             model = train_decision_tree(X, y, {"max_depth": cap, "criterion": "gini"})
-            assert tree_depth(model.root) <= cap
+            assert model.flat.depth <= cap
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(4)
@@ -224,7 +223,7 @@ class TestRandomForest:
     def test_singleton_forest_equals_its_tree(self):
         X, y = separable_set(seed=1, n=40)
         model = train_random_forest(X, y, {"n_estimators": 1}, seed=5)
-        assert np.array_equal(model.score(X), tree_predict_proba(model.trees[0], X))
+        assert np.array_equal(model.score(X), tree_predict_value(model.trees[0], X))
 
     def test_separable_train_accuracy(self):
         X, y = separable_set(seed=2)
@@ -247,7 +246,7 @@ class TestRandomForest:
     def test_score_is_mean_of_tree_scores(self):
         X, y = separable_set(seed=4, n=50)
         model = train_random_forest(X, y, {"n_estimators": 7}, seed=2)
-        per_tree = np.stack([tree_predict_proba(t, X) for t in model.trees])
+        per_tree = np.stack([tree_predict_value(t, X) for t in model.trees])
         assert np.allclose(model.score(X), per_tree.mean(axis=0), atol=1e-15)
 
     def test_depth_cap_holds_for_every_tree(self):
@@ -257,7 +256,7 @@ class TestRandomForest:
         model = train_random_forest(
             X, y, {"n_estimators": 12, "max_depth": 3}, seed=1
         )
-        assert all(tree_depth(t) <= 3 for t in model.trees)
+        assert model.flat.depth <= 3
 
     def test_empty_input_scores_empty(self):
         X, y = separable_set(seed=5, n=30)
@@ -313,24 +312,35 @@ def test_whole_fit_matches_dense_search(family, profile, tiny_corpus, monkeypatc
     assert np.array_equal(model.score(X), recursive_score(model, X))
 
 
-def random_tree(rng, X, depth, classification):
-    """A random tree of at most ``depth`` levels over X's columns. Most
-    thresholds are values some row of X holds, so rows land exactly on
-    them and the ``<=`` side matters."""
+def random_tree(rng, X, depth, classification, nodes):
+    """Append a random tree of at most ``depth`` levels over X's columns
+    to ``nodes`` and return its own depth. Most thresholds are values some
+    row of X holds, so rows land exactly on them and the ``<=`` side
+    matters."""
+    nodes.roots.append(len(nodes.right))
+    return _random_subtree(rng, X, depth, classification, nodes)
+
+
+def _random_subtree(rng, X, depth, classification, nodes):
     if depth == 0 or rng.random() < 0.3:
         if classification:
             m = int(rng.integers(1, 60))
-            k = int(rng.integers(0, m + 1))
-            return TreeNode(distribution=((m - k) / m, k / m))
-        return TreeNode(value=float(rng.normal()))
+            nodes.leaf(int(rng.integers(0, m + 1)) / m)
+        else:
+            nodes.leaf(float(rng.normal()))
+        return 0
     j = int(rng.integers(X.shape[1]))
     threshold = float(rng.choice(X[:, j])) if rng.random() < 0.8 else float(rng.normal())
-    return TreeNode(
-        feature=j,
-        threshold=threshold,
-        left=random_tree(rng, X, depth - 1, classification),
-        right=random_tree(rng, X, depth - 1, classification),
-    )
+    i = nodes.split(j, threshold)
+    left = _random_subtree(rng, X, depth - 1, classification, nodes)
+    nodes.right[i] = len(nodes.right)
+    return 1 + max(left, _random_subtree(rng, X, depth - 1, classification, nodes))
+
+
+def count_nodes(node):
+    if node.is_leaf:
+        return 1
+    return 1 + count_nodes(node.left) + count_nodes(node.right)
 
 
 @settings(max_examples=300)
@@ -346,13 +356,13 @@ def random_tree(rng, X, depth, classification):
 def test_flat_scores_equal_recursive_walk(
     family, n_trees, n_rows, n_features, max_depth, with_stump, seed
 ):
-    """Scores from the flat arrays equal the recursive walk's bit for bit,
-    on all rows at once and on each row alone, for trees of mixed depth
-    (a single-leaf tree among them when ``with_stump``), before and after
-    a round trip through the bundle's array payload; the rebuilt nodes are
-    the ones the trees were built from, the payload decodes to the arrays
-    (depth included) they flatten to, and a reloaded model re-encodes to
-    the same payload."""
+    """Scores from the flat arrays equal the recursive walk of the
+    ``TreeNode`` view bit for bit, on all rows at once and on each row
+    alone, for trees of mixed depth (a single-leaf tree among them when
+    ``with_stump``), before and after a round trip through the bundle's
+    array payload; the arrays hold the depth the trees were grown to, the
+    view holds one node per array entry, the payload decodes to the same
+    arrays, and a reloaded model re-encodes to the same payload."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_rows, n_features)).round(1)
     classification = family in ("dt", "rf")
@@ -362,15 +372,17 @@ def test_flat_scores_equal_recursive_walk(
         n_trees = max(n_trees, 1)
     elif family == "xgb-degenerate":
         n_trees = 0
-    trees = [random_tree(rng, X, max_depth, classification) for _ in range(n_trees)]
-    if with_stump and trees:
-        trees[int(rng.integers(n_trees))] = random_tree(rng, X, 0, classification)
-    flat = FlatTrees.from_nodes(trees, classification=classification)
-    assert flat.depth == max((tree_depth(t) for t in trees), default=0)
+    stump = int(rng.integers(n_trees)) if with_stump and n_trees else -1
+    nodes = NodeArrays()
+    depths = [
+        random_tree(rng, X, 0 if t == stump else max_depth, classification, nodes)
+        for t in range(n_trees)
+    ]
+    flat = nodes.flat()
+    assert flat.depth == max(depths, default=0)
     common = {"flat": flat, "n_features": n_features, "params": {}, "seed": seed}
     if family == "dt":
         model = DecisionTreeModel(**common)
-        assert model.root == trees[0]
     elif family == "rf":
         model = RandomForestModel(**common)
     else:
@@ -381,18 +393,18 @@ def test_flat_scores_equal_recursive_walk(
             flags=("degenerate_labels",) if family == "xgb-degenerate" else (),
             **common,
         )
-    if family != "dt":
-        assert model.trees == trees
+    views = [model.root] if family == "dt" else model.trees
+    sizes = np.diff(np.append(flat.roots, flat.right.size))
+    assert [count_nodes(v) for v in views] == sizes.tolist()
+    assert sum(sizes) == len(nodes.right)
 
     payload = model.to_dict()["root" if family == "dt" else "trees"]
-    decoded = FlatTrees.from_payload(payload, n_features, classification)
+    assert set(payload) == {"feature", "threshold", "right", "value", "roots"}
+    decoded = FlatTrees.from_payload(payload, n_features)
     assert decoded.depth == flat.depth
-    for name in ("feature", "threshold", "left", "right", "value", "nonflaky", "roots"):
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
         a, b = getattr(decoded, name), getattr(flat, name)
-        if b is None:
-            assert a is None and name not in payload
-        else:
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     reloaded = model_from_dict(model.to_dict())
     assert reloaded.to_dict() == model.to_dict()

@@ -18,7 +18,7 @@ exactly as the trained one. Formats 1 (arrays as nested lists) and 2
 (trees as nested dicts) are refused with a request to retrain: the bundle
 records the seed and corpus hash that reproduce it. The tokenizer must be
 a known profile name, and the vocabulary distinct strings in sorted order,
-as training writes them. Creation
+as training writes them; the NaN and Infinity literals are refused. Creation
 time is only recorded when SOURCE_DATE_EPOCH is set; a wall clock would
 break byte-identical reruns.
 """
@@ -40,6 +40,12 @@ from .linalg import PcaModel, decode_array, encode_array
 from .text import Vocabulary, get_tokenizer_profile, tokenize
 
 FORMAT_VERSION = 3
+
+
+def _refuse_constant(name: str):
+    """``json.loads`` hook for the NaN, Infinity and -Infinity literals,
+    which Python writes and reads but JSON does not allow."""
+    raise SpecInvalidError(f"{name} is not a JSON number")
 
 
 @dataclass
@@ -166,7 +172,7 @@ class ModelBundle:
         # QflakeError is a ValueError; json.loads recurses once per nesting
         # level, so a deeply nested file raises RecursionError
         try:
-            return cls.from_dict(json.loads(text))
+            return cls.from_dict(json.loads(text, parse_constant=_refuse_constant))
         except ConfigError as exc:  # the format version or the tokenizer
             raise ConfigError(f"{path}: {exc}") from None
         except (

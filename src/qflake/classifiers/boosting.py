@@ -37,10 +37,12 @@ section 3.4; histogram layout after LightGBM, Ke et al., NeurIPS 2017):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import SpecInvalidError
 from .base import REQUIRED, check_scoring_input, check_training_data, sigmoid, validate_params
 from .tree import FlatTrees, NodeArrays, TreeNode
 
@@ -219,10 +221,18 @@ class GradientBoostingModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GradientBoostingModel":
+        scalars = {name: d[name] for name in ("base_raw", "prior", "learning_rate")}
+        for name, value in scalars.items():
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise SpecInvalidError(f"xgb {name} must be a finite number, got {value!r:.40}")
+        if not 0.0 <= scalars["prior"] <= 1.0:
+            raise SpecInvalidError(f"xgb prior must be in [0, 1], got {scalars['prior']!r}")
+        if scalars["learning_rate"] < 0:
+            raise SpecInvalidError(
+                f"xgb learning_rate must be >= 0, got {scalars['learning_rate']!r}"
+            )
         return cls(
-            base_raw=float(d["base_raw"]),
-            prior=float(d["prior"]),
-            learning_rate=float(d["learning_rate"]),
+            **{name: float(value) for name, value in scalars.items()},
             flat=FlatTrees.from_payload(d["trees"], d["n_features"]),
             n_features=d["n_features"],
             params=dict(d["params"]),

@@ -10,6 +10,9 @@ standard deviation (divide by n_folds).
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -374,6 +377,121 @@ def fit_pipeline(
     return tuple(pipelines)
 
 
+@dataclass(frozen=True)
+class _CrossValState:
+    """What every (fold, group) fit of one ``cross_validate_all`` call reads:
+    the configs, the groups of configs sharing one model (a config without
+    its threshold policy, and its members' indices), each fold's training
+    and held-out ids and labels, and the tokenized documents."""
+
+    configs: tuple[PipelineConfig, ...]
+    groups: tuple[tuple[PipelineConfig, tuple[int, ...]], ...]
+    splits: tuple[tuple[list, list, np.ndarray, np.ndarray], ...]
+    all_ids: list
+    docs: dict
+    seed: int
+
+
+def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
+    """Fit group ``g`` on the training folds of fold ``f`` and score the
+    held-out fold once; one FoldResult per member of the group, in order."""
+    config, members = state.groups[g]
+    train_ids, eval_ids, y_train, y_eval = state.splits[f]
+    tokens = state.docs[config.tokenizer]
+    vocab_docs = [tokens[i] for i in state.all_ids] if config.fit_vocab_on_all else None
+    pipelines = fit_pipeline(
+        [tokens[i] for i in train_ids], y_train, config, state.seed, f, vocab_docs,
+        [state.configs[i].threshold for i in members],
+    )
+    eval_scores = pipelines[0].score([tokens[i] for i in eval_ids])
+    results = []
+    for i, fitted in zip(members, pipelines):
+        if state.configs[i].threshold.mode == "tuned" and config.tune_on_eval_fold:
+            fitted = fitted.tuned(eval_scores, y_eval)
+        cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
+        results.append(
+            FoldResult(
+                fold=f,
+                report=compute_metrics(cm),
+                cm=cm,
+                threshold=fitted.threshold,
+                threshold_curve=fitted.curve,
+                n_train=len(train_ids),
+                n_eval=len(eval_ids),
+                vocab_size=len(fitted.vocabulary),
+                pca_requested=config.pca_components,
+                pca_effective=fitted.pca_effective,
+                smote_synthetic=fitted.smote_synthetic,
+            )
+        )
+    return tuple(results)
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Processes to run ``n_tasks`` independent fits on: one per CPU this
+    process may run on (``taskset`` and cpusets narrow the set), at most
+    one per task. 1, which runs them in-process, where the platform has
+    no ``fork`` or cannot say which CPUs are usable."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_tasks))
+
+
+# Set only inside pool workers, by the pool's initializer.
+_worker_state: _CrossValState | None = None
+
+
+def _init_worker(state: _CrossValState, parent: int) -> None:
+    global _worker_state
+    _worker_state = state
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once process ``parent`` is gone. A parent killed
+    without cleanup (SIGTERM, SIGKILL) cannot shut the pool down, and an
+    orphaned worker would wait for tasks forever, holding the parent's
+    stdout and stderr open."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _fit_cell_in_worker(f: int, g: int) -> tuple[FoldResult, ...]:
+    return _fit_cell(_worker_state, f, g)
+
+
+def _fit_cells(state: _CrossValState, tasks) -> list[tuple[FoldResult, ...]]:
+    """``_fit_cell`` of every (fold, group) task, in task order.
+
+    With more than one worker the tasks run on a pool of forked
+    processes. Fork hands each worker the state without pickling it; only
+    (fold, group) pairs go out and FoldResults come back. The first task,
+    in task order, that fails raises its exception here, as it would in a
+    serial run; tasks not yet started are cancelled, and every worker has
+    exited before this returns or raises. Fork, not spawn: a spawned
+    worker would import numpy again (about 0.15 s) and unpickle every
+    document, per worker and per call, against a 1-3 s suite pass at the
+    benchmark's scale; qflake starts no thread of its own before it forks.
+    """
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        return [_fit_cell(state, f, g) for f, g in tasks]
+    # imported here: a process that never cross-validates (train, predict)
+    # does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _init_worker, (state, os.getpid())
+    )
+    try:
+        futures = [pool.submit(_fit_cell_in_worker, f, g) for f, g in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cross_validate_all(
     corpus: Corpus, configs, n_folds: int = 5, seed: int = 0
 ) -> tuple[CrossValResult, ...]:
@@ -386,7 +504,9 @@ def cross_validate_all(
     vocabulary from every fold when ``fit_vocab_on_all``) and one scoring
     of the held-out fold. Each policy then takes its threshold: fixed,
     tuned on the inner training split, or tuned on the held-out fold when
-    ``tune_on_eval_fold``. Each model is freed before the next is fitted.
+    ``tune_on_eval_fold``. Each model is freed before its task returns.
+    The (fold, group) fits run on one worker process per usable CPU;
+    results do not depend on the worker count.
     """
     configs = tuple(configs)
     folds = stratified_folds(corpus, n_folds, seed)
@@ -399,41 +519,26 @@ def cross_validate_all(
     groups: dict[PipelineConfig, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(replace(config, threshold=ThresholdPolicy("fixed")), []).append(i)
-
-    fold_results = tuple([] for _ in configs)
+    splits = []
     for f in range(n_folds):
         train_ids = [i for i in all_ids if folds.assignment[i] != f]
         eval_ids = [i for i in all_ids if folds.assignment[i] == f]
         y_train = np.array([labels[i] for i in train_ids], dtype=np.int8)
         y_eval = np.array([labels[i] for i in eval_ids], dtype=np.int8)
-        for config, members in groups.items():
-            tokens = docs[config.tokenizer]
-            vocab_docs = [tokens[i] for i in all_ids] if config.fit_vocab_on_all else None
-            pipelines = fit_pipeline(
-                [tokens[i] for i in train_ids], y_train, config, seed, f, vocab_docs,
-                [configs[i].threshold for i in members],
-            )
-            eval_scores = pipelines[0].score([tokens[i] for i in eval_ids])
-            for i, fitted in zip(members, pipelines):
-                if configs[i].threshold.mode == "tuned" and config.tune_on_eval_fold:
-                    fitted = fitted.tuned(eval_scores, y_eval)
-                cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
-                fold_results[i].append(
-                    FoldResult(
-                        fold=f,
-                        report=compute_metrics(cm),
-                        cm=cm,
-                        threshold=fitted.threshold,
-                        threshold_curve=fitted.curve,
-                        n_train=len(train_ids),
-                        n_eval=len(eval_ids),
-                        vocab_size=len(fitted.vocabulary),
-                        pca_requested=config.pca_components,
-                        pca_effective=fitted.pca_effective,
-                        smote_synthetic=fitted.smote_synthetic,
-                    )
-                )
-            del pipelines, fitted
+        splits.append((train_ids, eval_ids, y_train, y_eval))
+    state = _CrossValState(
+        configs=configs,
+        groups=tuple((config, tuple(members)) for config, members in groups.items()),
+        splits=tuple(splits),
+        all_ids=all_ids,
+        docs=docs,
+        seed=seed,
+    )
+    tasks = [(f, g) for f in range(n_folds) for g in range(len(state.groups))]
+    fold_results = tuple([] for _ in configs)
+    for (f, g), results in zip(tasks, _fit_cells(state, tasks)):
+        for i, result in zip(state.groups[g][1], results):
+            fold_results[i].append(result)
     return tuple(
         CrossValResult(
             config=config,

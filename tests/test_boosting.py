@@ -148,6 +148,24 @@ class TestGradientBoosting:
         clone = type(model).from_dict(model.to_dict())
         assert np.array_equal(clone.score(X), model.score(X))
 
+    @pytest.mark.parametrize("key, value", [
+        ("base_raw", float("inf")),
+        ("base_raw", True),
+        ("prior", -0.1),
+        ("prior", "0.5"),
+        ("learning_rate", -0.1),
+        ("learning_rate", float("nan")),
+    ])
+    def test_from_dict_rejects_bad_scalars(self, key, value):
+        """``1e999`` in JSON loads as inf, past the loader's NaN and
+        Infinity refusal; bools are ints to ``float``."""
+        X, y = separable_set(seed=8, n=40)
+        payload = train_gbt(
+            X, y, {"learning_rate": 0.5, "max_depth": 3, "n_estimators": 2}
+        ).to_dict()
+        with pytest.raises(SpecInvalidError, match=key):
+            boosting.GradientBoostingModel.from_dict({**payload, key: value})
+
 
 class PresortedBins:
     """Stands in for ``ExactBins`` in ``train_gbt``, growing every tree

@@ -600,6 +600,15 @@ MALFORMED_INPUTS = {
         _edited_bundle, ("dt", lambda d: d.update(tokenizer=["default"]))
     ),
     "bundle-tokenizer-unknown": (_edited_bundle, ("xgb", lambda d: d.update(tokenizer="bogus"))),
+    "bundle-xgb-base-raw-nan": (
+        _tampered_bundle, ("xgb", lambda m: m.update(base_raw=float("nan")))
+    ),
+    "bundle-xgb-learning-rate-string": (
+        _tampered_bundle, ("xgb", lambda m: m.update(learning_rate="0.3"))
+    ),
+    "bundle-xgb-prior-out-of-range": (
+        _one_class_bundle, ("xgb", lambda d: d["model"].update(prior=7.0))
+    ),
     "experiment-empty-manifest": (_experiment_on, []),
     "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
     "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),
@@ -650,6 +659,9 @@ MALFORMED_MESSAGES = {
     "bundle-tokenizer-not-string": "bundle tokenizer must be a profile name, got ['default']",
     # the name is checked on load, so the line names the bundle
     "bundle-tokenizer-unknown": "bundle.json: unknown tokenizer profile 'bogus'",
+    "bundle-xgb-base-raw-nan": "NaN is not a JSON number",
+    "bundle-xgb-learning-rate-string": "xgb learning_rate must be a finite number, got '0.3'",
+    "bundle-xgb-prior-out-of-range": "xgb prior must be in [0, 1], got 7.0",
 }
 
 

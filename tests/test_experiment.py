@@ -1,10 +1,16 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
 from qflake import eval as eval_mod, experiment
 from qflake.corpus import SubsetMode, select_subset
-from qflake.errors import ConfigError
+from qflake.errors import ConfigError, SvdNotConvergedError
 from qflake.eval import PipelineConfig, ThresholdPolicy, cross_validate
 from qflake.experiment import (
     METHODS,
@@ -201,6 +207,8 @@ class TestSuite:
         monkeypatch.setattr(eval_mod, "train_model", counting)
         monkeypatch.setattr(eval_mod, "tokenize", tokenizing)
         monkeypatch.setattr(experiment, "cross_validate_all", cross_validating)
+        # in-process: calls made in forked workers would not reach these lists
+        monkeypatch.setattr(eval_mod, "_worker_count", lambda n_tasks: 1)
         run_paper_suite(tiny_corpus, seed=5, n_folds=4)
         assert len(keys) == 15 * 4
         assert len(set(keys)) == len(keys)
@@ -248,3 +256,129 @@ class TestSuite:
         rows = [line.split(",") for line in csv.splitlines()[1:]]
         col = header.index("f1_best_overall")
         assert any(r[col] == "true" for r in rows)
+
+
+# Two workers, but never more than the CPUs this process may run on.
+POOL_WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+needs_pool = pytest.mark.skipif(POOL_WORKERS < 2, reason="needs two usable CPUs")
+
+
+@needs_pool
+class TestWorkerPool:
+    @pytest.mark.parametrize(
+        "flags", [{}, {"fit_vocab_on_all": True}, {"tune_on_eval_fold": True}]
+    )
+    def test_pool_matches_serial(self, tiny_corpus, tmp_path, monkeypatch, flags):
+        """One worker and two give equal cross-validation results (every
+        FoldResult: confusion matrix, threshold, curve) and byte-identical
+        result files."""
+        real_cv = experiment.cross_validate_all
+        outcomes, files = {}, {}
+        for workers in (1, POOL_WORKERS):
+            walked = outcomes.setdefault(workers, [])
+
+            def recording(data, configs, **kwargs):
+                results = real_cv(data, configs, **kwargs)
+                walked.extend(results)
+                return results
+
+            monkeypatch.setattr(eval_mod, "_worker_count", lambda n_tasks: workers)
+            monkeypatch.setattr(experiment, "cross_validate_all", recording)
+            tables = run_paper_suite(tiny_corpus, seed=5, n_folds=4, **flags)
+            out = write_results(tables, tmp_path / str(workers), {"seed": 5, **flags})
+            files[workers] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        serial, pooled = outcomes[1], outcomes[POOL_WORKERS]
+        assert len(serial) == 25
+        for a, b in zip(serial, pooled):
+            assert [fr.cm for fr in a.folds] == [fr.cm for fr in b.folds]
+            assert [fr.threshold_curve for fr in a.folds] == [fr.threshold_curve for fr in b.folds]
+        assert serial == pooled
+        assert files[1] == files[POOL_WORKERS]
+
+    @pytest.mark.parametrize("workers", [1, POOL_WORKERS])
+    def test_failing_cell_raises_first_in_task_order(
+        self, tiny_corpus, tmp_path, monkeypatch, workers
+    ):
+        """Tasks go fold by fold, family by family. Task 1 fails late and
+        task 2 at once; both worker counts raise task 1's error. With a
+        pool, tasks not started when it is read are cancelled, and no
+        worker is left running."""
+        families = ("dt", "rf", "xgb", "knn", "svm")
+        configs = [PipelineConfig.from_profile(f, "paper_vanilla") for f in families]
+        started = tmp_path / "started"
+        real_fit = eval_mod.fit_pipeline
+
+        def fitting(docs, y, config, seed, tag, *args):
+            with open(started, "a") as log:
+                log.write(f"{tag} {config.family}\n")
+            if (tag, config.family) == (0, "rf"):
+                time.sleep(0.5)
+                raise SvdNotConvergedError("task 1 failed")
+            if (tag, config.family) == (0, "xgb"):
+                raise SvdNotConvergedError("task 2 failed")
+            time.sleep(0.2)
+            return real_fit(docs, y, config, seed, tag, *args)
+
+        monkeypatch.setattr(eval_mod, "_worker_count", lambda n_tasks: workers)
+        monkeypatch.setattr(eval_mod, "fit_pipeline", fitting)
+        with pytest.raises(SvdNotConvergedError, match="^task 1 failed$"):
+            eval_mod.cross_validate_all(tiny_corpus, configs, n_folds=4, seed=5)
+        assert len(started.read_text().splitlines()) < 4 * len(families)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_exit_when_parent_is_killed(self, tiny_manifest, tmp_path):
+        """A parent killed without cleanup cannot shut its pool down; its
+        workers still exit instead of waiting for tasks forever."""
+        pids = tmp_path / "worker_pids"
+        script = textwrap.dedent(f"""
+            import os, time
+            from qflake import eval as ev
+            from qflake.corpus import load_manifest
+
+            def fitting(*args):
+                with open({str(pids)!r}, "a") as log:
+                    log.write(f"{{os.getpid()}}\\n")
+                time.sleep(60)
+
+            ev.fit_pipeline = fitting
+            ev._worker_count = lambda n_tasks: {POOL_WORKERS}
+            config = ev.PipelineConfig.from_profile("dt", "paper_vanilla")
+            ev.cross_validate_all(load_manifest({str(tiny_manifest)!r}), [config], n_folds=4)
+        """)
+        parent = subprocess.Popen([sys.executable, "-c", script])
+        try:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and _lines(pids) < POOL_WORKERS:
+                time.sleep(0.05)
+            workers = [int(pid) for pid in pids.read_text().split()]
+            assert len(workers) == POOL_WORKERS
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+
+
+def _lines(path) -> int:
+    return len(path.read_text().splitlines()) if path.exists() else 0
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_cli_import_leaves_pool_modules_unloaded():
+    """Train and predict never cross-validate: importing the CLI does not
+    load the pool's modules."""
+    probe = "import sys, qflake.cli; print([m for m in ('multiprocessing', " \
+            "'concurrent.futures') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

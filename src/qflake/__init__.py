@@ -25,7 +25,6 @@ from .eval import (
     MetricReport,
     PipelineConfig,
     ThresholdCurve,
-    ThresholdPolicy,
     compute_metrics,
     confusion,
     cross_validate,

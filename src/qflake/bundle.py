@@ -18,14 +18,14 @@ exactly as the trained one. Formats 1 (arrays as nested lists) and 2
 (trees as nested dicts) are refused with a request to retrain: the bundle
 records the seed and corpus hash that reproduce it. The tokenizer must be
 a known profile name, and the vocabulary distinct strings in sorted order,
-as training writes them; the NaN and Infinity literals are refused. Creation
+as training writes them; bundles are read and written through ``jsonio``,
+which refuses the NaN and Infinity literals. Creation
 time is only recorded when SOURCE_DATE_EPOCH is set; a wall clock would
 break byte-identical reruns.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,18 +34,13 @@ import numpy as np
 
 from .classifiers import model_from_dict, model_to_dict
 from .corpus import Corpus
-from .errors import ConfigError, SpecInvalidError
+from .errors import QflakeError
 from .eval import FittedPipeline, PipelineConfig, ThresholdCurve, fit_pipeline
+from .jsonio import dumps, loads
 from .linalg import PcaModel, decode_array, encode_array
 from .text import Vocabulary, get_tokenizer_profile, tokenize
 
 FORMAT_VERSION = 3
-
-
-def _refuse_constant(name: str):
-    """``json.loads`` hook for the NaN, Infinity and -Infinity literals,
-    which Python writes and reads but JSON does not allow."""
-    raise SpecInvalidError(f"{name} is not a JSON number")
 
 
 @dataclass
@@ -84,17 +79,17 @@ class ModelBundle:
     def from_dict(cls, d: dict) -> "ModelBundle":
         version = d.get("format_version")
         if type(version) is int and 0 < version < FORMAT_VERSION:
-            raise ConfigError(
+            raise QflakeError(
                 f"bundle format_version {version} predates format {FORMAT_VERSION}; "
                 "retrain it with `qflake train`"
             )
         if version != FORMAT_VERSION:
-            raise ConfigError(
+            raise QflakeError(
                 f"unsupported bundle format_version {version!r}; expected {FORMAT_VERSION}"
             )
         tokenizer = d["tokenizer"]
         if type(tokenizer) is not str:
-            raise SpecInvalidError(
+            raise QflakeError(
                 f"bundle tokenizer must be a profile name, got {tokenizer!r:.40}"
             )
         get_tokenizer_profile(tokenizer)
@@ -105,7 +100,7 @@ class ModelBundle:
             and tokens == sorted(tokens)
             and len(set(tokens)) == len(tokens)
         ):
-            raise SpecInvalidError(
+            raise QflakeError(
                 "bundle vocabulary must be a list of distinct strings in sorted order"
             )
         vocabulary = Vocabulary(ordered_tokens=tuple(tokens))
@@ -121,19 +116,19 @@ class ModelBundle:
             k = pca.n_components
             shapes = (pca.mean.shape, pca.components.shape, pca.explained_variance.shape)
             if shapes != ((width,), (k, width), (k,)):
-                raise SpecInvalidError(
+                raise QflakeError(
                     f"pca mean, components and explained variances of shapes {shapes} "
                     f"do not fit a vocabulary of {width} tokens"
                 )
             width = k
         model = model_from_dict(d["model"])
         if model.n_features != width:
-            raise SpecInvalidError(
+            raise QflakeError(
                 f"model takes {model.n_features} inputs, the bundle feeds it {width}"
             )
         threshold = d["threshold"]
         if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
-            raise SpecInvalidError(f"threshold must be a number in [0, 1], got {threshold!r}")
+            raise QflakeError(f"threshold must be a number in [0, 1], got {threshold!r}")
         threshold = float(threshold)
         metadata = dict(d["metadata"])
         curve = metadata.get("threshold_curve")
@@ -156,7 +151,7 @@ class ModelBundle:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -166,19 +161,20 @@ class ModelBundle:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(
+            raise QflakeError(
                 f"{path}: cannot read model bundle ({exc.strerror or exc})"
             ) from None
-        # QflakeError is a ValueError; json.loads recurses once per nesting
-        # level, so a deeply nested file raises RecursionError
+        # every check raises QflakeError, which is a ValueError, so it comes
+        # first; JSON parsing recurses once per nesting level, so a deeply
+        # nested file raises RecursionError
         try:
-            return cls.from_dict(json.loads(text, parse_constant=_refuse_constant))
-        except ConfigError as exc:  # the format version or the tokenizer
-            raise ConfigError(f"{path}: {exc}") from None
+            return cls.from_dict(loads(text))
+        except QflakeError as exc:
+            raise QflakeError(f"{path}: {exc}") from None
         except (
             ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError
         ) as exc:
-            raise ConfigError(
+            raise QflakeError(
                 f"{path}: not a valid model bundle ({type(exc).__name__}: {exc})"
             ) from None
 
@@ -208,7 +204,7 @@ def train_bundle(corpus: Corpus, config: PipelineConfig, seed: int = 0) -> Model
     """
     profile = get_tokenizer_profile(config.tokenizer)
     docs = [tokenize(e.text, profile) for e in corpus]
-    (fitted,) = fit_pipeline(
+    fitted = fit_pipeline(
         docs, corpus.labels(), replace(config, tune_on_eval_fold=False), seed, "full"
     )
     metadata = {
@@ -222,7 +218,7 @@ def train_bundle(corpus: Corpus, config: PipelineConfig, seed: int = 0) -> Model
         "smote_synthetic": fitted.smote_synthetic,
         "pca_requested": config.pca_components,
         "pca_effective": fitted.pca_effective,
-        "threshold_mode": config.threshold.mode,
+        "threshold_mode": "tuned" if config.tune_threshold else "fixed",
         "threshold_curve": (
             None if fitted.curve is None else [[t, f1] for t, f1 in fitted.curve.grid]
         ),

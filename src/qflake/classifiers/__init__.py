@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SpecInvalidError
+from ..errors import QflakeError
 from .base import sigmoid
 from .boosting import GradientBoostingModel, train_gbt
 from .forest import RandomForestModel, train_random_forest
@@ -21,7 +21,7 @@ from .profiles import (
     get_profile,
 )
 from .svm import LinearSvmModel, train_svm
-from .tree import DecisionTreeModel, TreeNode, impurity, train_decision_tree
+from .tree import DecisionTreeModel, TreeNode, train_decision_tree
 
 _TRAINERS = {
     "xgb": train_gbt,
@@ -44,7 +44,7 @@ def train_model(family: str, X, y, hyperparameters=None, seed: int = 0):
     try:
         trainer = _TRAINERS[family]
     except KeyError:
-        raise SpecInvalidError(
+        raise QflakeError(
             f"unknown family {family!r}; expected one of {FAMILIES}"
         ) from None
     return trainer(X, y, hyperparameters or {}, seed=seed)
@@ -69,10 +69,10 @@ def model_from_dict(d: dict):
     try:
         cls = _MODEL_CLASSES[family]
     except KeyError:
-        raise SpecInvalidError(f"unknown model family in payload: {family!r}") from None
+        raise QflakeError(f"unknown model family in payload: {family!r}") from None
     flags = d.get("flags", [])
     if not (isinstance(flags, list) and all(type(f) is str for f in flags)):
-        raise SpecInvalidError(f"model flags must be a list of strings, got {flags!r:.40}")
+        raise QflakeError(f"model flags must be a list of strings, got {flags!r:.40}")
     return cls.from_dict(d)
 
 
@@ -88,7 +88,6 @@ __all__ = [
     "RandomForestModel",
     "TreeNode",
     "get_profile",
-    "impurity",
     "model_from_dict",
     "model_to_dict",
     "predict_labels",

@@ -4,9 +4,11 @@ and hyperparameter validation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import DimensionMismatchError, SpecInvalidError
+from ..errors import PipelineError, QflakeError
 from ..linalg import as_matrix
 
 
@@ -20,24 +22,29 @@ def check_training_data(X, y):
     X = as_matrix(X)
     y = np.asarray(y)
     if y.ndim != 1 or len(y) != X.shape[0]:
-        raise SpecInvalidError("y must be a 1-D label vector matching X rows")
+        raise QflakeError("y must be a 1-D label vector matching X rows")
     if X.shape[0] < 1:
-        raise SpecInvalidError("training data must contain at least one row")
+        raise QflakeError("training data must contain at least one row")
     y = y.astype(np.int8)
     if not np.isin(y, (0, 1)).all():
-        raise SpecInvalidError("labels must be 0 (nonflaky) or 1 (flaky)")
+        raise QflakeError("labels must be 0 (nonflaky) or 1 (flaky)")
     return X, y
 
 
 def check_scoring_input(X, n_features: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise DimensionMismatchError(f"expected 2-D matrix, got ndim={X.ndim}")
+        raise PipelineError(f"expected 2-D matrix, got ndim={X.ndim}")
     if X.shape[1] != n_features:
-        raise DimensionMismatchError(
+        raise PipelineError(
             f"matrix has {X.shape[1]} features, model expects {n_features}"
         )
     return X
+
+
+def finite_number(value) -> bool:
+    """An int or a float, not a bool, and finite: a number JSON can hold."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 REQUIRED = object()
@@ -51,7 +58,7 @@ def validate_params(family: str, params: dict, allowed: dict) -> dict:
     """
     unknown = set(params) - set(allowed)
     if unknown:
-        raise SpecInvalidError(
+        raise QflakeError(
             f"{family}: unknown hyperparameter(s) {sorted(unknown)}; "
             f"expected {sorted(allowed)}"
         )
@@ -60,10 +67,10 @@ def validate_params(family: str, params: dict, allowed: dict) -> dict:
         if name in params:
             value = params[name]
         elif default is REQUIRED:
-            raise SpecInvalidError(f"{family}: missing hyperparameter {name!r}")
+            raise QflakeError(f"{family}: missing hyperparameter {name!r}")
         else:
             value = default
         if checker is not None and not checker(value):
-            raise SpecInvalidError(f"{family}: invalid value for {name!r}: {value!r}")
+            raise QflakeError(f"{family}: invalid value for {name!r}: {value!r}")
         resolved[name] = value
     return resolved

@@ -37,19 +37,25 @@ section 3.4; histogram layout after LightGBM, Ke et al., NeurIPS 2017):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SpecInvalidError
-from .base import REQUIRED, check_scoring_input, check_training_data, sigmoid, validate_params
+from ..errors import QflakeError
+from .base import (
+    REQUIRED,
+    check_scoring_input,
+    check_training_data,
+    finite_number,
+    sigmoid,
+    validate_params,
+)
 from .tree import FlatTrees, NodeArrays, TreeNode
 
 _LAMBDA = 1.0
 
 _GBT_PARAMS = {
-    "learning_rate": (REQUIRED, lambda v: isinstance(v, (int, float)) and v >= 0),
+    "learning_rate": (REQUIRED, lambda v: finite_number(v) and v >= 0),
     "max_depth": (REQUIRED, lambda v: isinstance(v, int) and v >= 0),
     "n_estimators": (REQUIRED, lambda v: isinstance(v, int) and v >= 0),
 }
@@ -223,12 +229,12 @@ class GradientBoostingModel:
     def from_dict(cls, d: dict) -> "GradientBoostingModel":
         scalars = {name: d[name] for name in ("base_raw", "prior", "learning_rate")}
         for name, value in scalars.items():
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise SpecInvalidError(f"xgb {name} must be a finite number, got {value!r:.40}")
+            if not finite_number(value):
+                raise QflakeError(f"xgb {name} must be a finite number, got {value!r:.40}")
         if not 0.0 <= scalars["prior"] <= 1.0:
-            raise SpecInvalidError(f"xgb prior must be in [0, 1], got {scalars['prior']!r}")
+            raise QflakeError(f"xgb prior must be in [0, 1], got {scalars['prior']!r}")
         if scalars["learning_rate"] < 0:
-            raise SpecInvalidError(
+            raise QflakeError(
                 f"xgb learning_rate must be >= 0, got {scalars['learning_rate']!r}"
             )
         return cls(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SpecInvalidError
+from ..errors import QflakeError
 from ..seeding import STREAM_MODEL, rng_for
 from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
 from .tree import CRITERIA, FlatTrees, NodeArrays, SplitSearch, TreeNode, grow_class_tree
@@ -60,7 +60,7 @@ class RandomForestModel:
     def from_dict(cls, d: dict) -> "RandomForestModel":
         flat = FlatTrees.from_payload(d["trees"], d["n_features"])
         if not flat.roots.size:
-            raise SpecInvalidError("rf model payload holds no trees")
+            raise QflakeError("rf model payload holds no trees")
         return cls(
             flat=flat,
             n_features=d["n_features"],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import KTooLargeError, SpecInvalidError
+from ..errors import PipelineError, QflakeError
 from ..linalg import decode_array, encode_array
 from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
 
@@ -71,13 +71,13 @@ class KnnModel:
         X_train = decode_array(d["X_train"], 2)
         y_train, k = d["y_train"], d["n_neighbors"]
         if len(y_train) != len(X_train):
-            raise SpecInvalidError(
+            raise QflakeError(
                 f"knn payload has {len(y_train)} labels for {len(X_train)} rows"
             )
         if not all(type(v) is int and v in (0, 1) for v in y_train):
-            raise SpecInvalidError("knn labels must be 0 (nonflaky) or 1 (flaky)")
+            raise QflakeError("knn labels must be 0 (nonflaky) or 1 (flaky)")
         if type(k) is not int or not 1 <= k <= len(X_train):
-            raise SpecInvalidError(
+            raise QflakeError(
                 f"knn n_neighbors must be an integer in [1, {len(X_train)}], got {k!r}"
             )
         return cls(
@@ -95,7 +95,7 @@ def train_knn(X, y, params=None, seed=0) -> KnnModel:
     resolved = validate_params("knn", params or {}, _KNN_PARAMS)
     k = resolved["n_neighbors"]
     if k > X.shape[0]:
-        raise KTooLargeError(
+        raise PipelineError(
             f"n_neighbors={k} exceeds the {X.shape[0]} training rows"
         )
     return KnnModel(

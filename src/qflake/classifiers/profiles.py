@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import SpecInvalidError
+from ..errors import QflakeError
 
 FAMILIES = ("xgb", "dt", "rf", "knn", "svm")
 TREE_FAMILIES = ("xgb", "dt", "rf")
@@ -84,9 +84,9 @@ _PROFILES = {
 
 def get_profile(family: str, name: str) -> BuiltinProfile:
     if family not in FAMILIES:
-        raise SpecInvalidError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise QflakeError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if name not in PROFILE_NAMES:
-        raise SpecInvalidError(
+        raise QflakeError(
             f"unknown profile {name!r}; expected one of {PROFILE_NAMES}"
         )
     hyper, pca = _PROFILES[(family, name)]

@@ -11,20 +11,26 @@ reorder nothing and 0.5 reproduces the sign rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingleClassError, SpecInvalidError
+from ..errors import PipelineError, QflakeError
 from ..linalg import decode_array, encode_array
 from ..seeding import STREAM_MODEL, rng_for
-from .base import REQUIRED, check_scoring_input, check_training_data, sigmoid, validate_params
+from .base import (
+    REQUIRED,
+    check_scoring_input,
+    check_training_data,
+    finite_number,
+    sigmoid,
+    validate_params,
+)
 
 _SVM_PARAMS = {
-    "C": (REQUIRED, lambda v: isinstance(v, (int, float)) and v > 0),
+    "C": (REQUIRED, lambda v: finite_number(v) and v > 0),
     "max_epochs": (1000, lambda v: isinstance(v, int) and v >= 1),
-    "tol": (1e-6, lambda v: isinstance(v, (int, float)) and v > 0),
+    "tol": (1e-6, lambda v: finite_number(v) and v > 0),
 }
 
 
@@ -64,8 +70,8 @@ class LinearSvmModel:
     @classmethod
     def from_dict(cls, d: dict) -> "LinearSvmModel":
         b = d["b"]
-        if type(b) not in (int, float) or not math.isfinite(b):
-            raise SpecInvalidError(f"svm bias must be a finite number, got {b!r}")
+        if not finite_number(b):
+            raise QflakeError(f"svm bias must be a finite number, got {b!r}")
         return cls(
             w=decode_array(d["w"], 1),
             b=float(b),
@@ -80,7 +86,7 @@ def train_svm(X, y, params=None, seed=0) -> LinearSvmModel:
     resolved = validate_params("svm", params or {}, _SVM_PARAMS)
     classes = np.unique(y)
     if len(classes) < 2:
-        raise SingleClassError("SVM training needs both classes present")
+        raise PipelineError("SVM training needs both classes present")
 
     C = float(resolved["C"])
     n = X.shape[0]

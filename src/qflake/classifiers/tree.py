@@ -57,27 +57,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptySetError, SpecInvalidError
+from ..errors import QflakeError
 from ..linalg import decode_array, encode_array
 from .base import check_scoring_input, check_training_data, validate_params
 
 _GAIN_EPS = 1e-12
 
 CRITERIA = ("entropy", "gini")
-
-
-def impurity(labels, criterion: str) -> float:
-    """Entropy (bits) or Gini impurity of a label multiset."""
-    if criterion not in CRITERIA:
-        raise SpecInvalidError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    labels = np.asarray(list(labels))
-    if labels.size == 0:
-        raise EmptySetError("impurity of an empty multiset is undefined")
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / counts.sum()
-    if criterion == "entropy":
-        return float(-(p * np.log2(p)).sum())
-    return float(1.0 - (p**2).sum())
 
 
 @dataclass
@@ -193,7 +179,7 @@ class FlatTrees:
     def from_payload(cls, payload, n_features) -> "FlatTrees":
         """Decode and check a saved payload with whole-array operations;
         anything but a forest of well-formed trees over ``n_features``
-        columns (an int, at least 1) raises SpecInvalidError.
+        columns (an int, at least 1) raises QflakeError.
 
         Every internal node ``i`` must have ``i + 1 < right[i] < n``, and
         every node must be a root or the child of exactly one parent.
@@ -204,39 +190,39 @@ class FlatTrees:
         is read, and ignored, while its walk waits for deeper trees), and
         thresholds and leaf values must be finite (the codec checks)."""
         if type(n_features) is not int or n_features < 1:
-            raise SpecInvalidError(f"n_features must be an integer >= 1, got {n_features!r}")
+            raise QflakeError(f"n_features must be an integer >= 1, got {n_features!r}")
         if not isinstance(payload, dict):
-            raise SpecInvalidError(f"tree payload must be a JSON object, got {payload!r:.40}")
+            raise QflakeError(f"tree payload must be a JSON object, got {payload!r:.40}")
         arrays = {}
         for name in _PAYLOAD_KEYS:
             if name not in payload:
-                raise SpecInvalidError(f"tree payload has no {name} array")
+                raise QflakeError(f"tree payload has no {name} array")
             try:
                 arrays[name] = decode_array(payload[name], 1, _PAYLOAD_KEYS[name])
-            except SpecInvalidError as exc:
-                raise SpecInvalidError(f"tree {name}: {exc}") from None
+            except QflakeError as exc:
+                raise QflakeError(f"tree {name}: {exc}") from None
         roots = arrays.pop("roots")
         sizes = {name: a.size for name, a in arrays.items()}
         n = sizes["right"]
         if set(sizes.values()) != {n}:
-            raise SpecInvalidError(f"tree node arrays differ in length: {sizes}")
+            raise QflakeError(f"tree node arrays differ in length: {sizes}")
         feature, right = arrays["feature"], arrays["right"]
         nodes = np.arange(n)
         internal = right != nodes
         bad = internal & ((right <= nodes + 1) | (right >= n))
         if bad.any():
             i = int(bad.argmax())
-            raise SpecInvalidError(
+            raise QflakeError(
                 f"tree node {i} has right child {right[i]}, not in ({i + 1}, {n})"
             )
         if ((roots < 0) | (roots >= n)).any():
-            raise SpecInvalidError(f"tree roots must be node indices below {n}")
+            raise QflakeError(f"tree roots must be node indices below {n}")
         parents = np.bincount(
             np.concatenate([roots, nodes[internal] + 1, right[internal]]), minlength=n
         )
         if (parents != 1).any():
             i = int((parents != 1).argmax())
-            raise SpecInvalidError(
+            raise QflakeError(
                 f"tree node {i} is reached from {parents[i]} places (roots and parents); "
                 "expected exactly one"
             )
@@ -244,7 +230,7 @@ class FlatTrees:
         if bad.any():
             i = int(bad.argmax())
             what = f"a column index below {n_features}" if internal[i] else "0 at a leaf"
-            raise SpecInvalidError(f"tree node {i} has feature {feature[i]}, not {what}")
+            raise QflakeError(f"tree node {i} has feature {feature[i]}, not {what}")
         return cls._with_derived(feature, arrays["threshold"], right, arrays["value"], roots)
 
     def to_nodes(self) -> list[TreeNode]:
@@ -442,7 +428,7 @@ class DecisionTreeModel:
     def from_dict(cls, d: dict) -> "DecisionTreeModel":
         flat = FlatTrees.from_payload(d["root"], d["n_features"])
         if flat.roots.size != 1:
-            raise SpecInvalidError(f"dt model payload holds {flat.roots.size} trees, not one")
+            raise QflakeError(f"dt model payload holds {flat.roots.size} trees, not one")
         return cls(
             flat=flat,
             n_features=d["n_features"],

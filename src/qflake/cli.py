@@ -2,8 +2,12 @@
 
 Configuration precedence is CLI flags > --config JSON file > builtin
 defaults, and the effective configuration is echoed into every run's
-outputs. Exit codes: 0 success, 2 usage or validation failure, 3 runtime
-failure.
+outputs. Exit codes: 0 success, 2 bad input, 3 a failed run. The type of
+the error decides, in ``main`` alone: a ``PipelineError`` (valid input
+that a stage could not fit or score) prints ``<command> failed: <msg>``
+and exits 3; any other ``QflakeError`` (bad manifest, file, bundle,
+setting or hyperparameter) prints ``error: <msg>`` and exits 2. Every
+JSON file is read and written through ``jsonio``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -28,37 +31,15 @@ from .corpus import (
     select_subset,
     write_manifest,
 )
-from .errors import (
-    ConfigError,
-    EmptyClassError,
-    EmptyVocabularyError,
-    QflakeError,
-    SpecInvalidError,
-    TooFewSamplesError,
-)
-from .eval import (
-    METRIC_NAMES,
-    PipelineConfig,
-    ThresholdPolicy,
-    cross_validate,
-)
+from .errors import PipelineError, QflakeError
+from .eval import METRIC_NAMES, PipelineConfig, cross_validate
 from .experiment import METHODS, run_paper_suite, write_results
+from .jsonio import dumps, loads
 from .text import TOKENIZER_PROFILES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-# Raised by invalid input data or settings while a run selects its subset
-# and folds, fits its vocabulary or checks its hyperparameters, so they
-# pass the runtime-failure handlers and exit 2.
-_INVALID_RUN = (
-    ConfigError,
-    EmptyClassError,
-    EmptyVocabularyError,
-    SpecInvalidError,
-    TooFewSamplesError,
-)
 
 _DATASETS = tuple(m.value for m in SubsetMode)
 
@@ -169,13 +150,13 @@ def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise QflakeError(f"config file not found: {path}")
     try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        loaded = loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise QflakeError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise QflakeError(f"config file {path} must hold a JSON object")
     for key, (kind, choices) in _FILE_KEYS.items():
         if key not in loaded:
             continue
@@ -186,7 +167,7 @@ def _load_config_file(path: Path | None) -> dict:
             ok = all(v in choices for v in (value if kind is list else [value]))
         if not ok:
             expected = _TYPE_NAMES[kind] + (f" from {list(choices)}" if choices else "")
-            raise ConfigError(f"config file {path}: {key!r} must be {expected}, got {value!r}")
+            raise QflakeError(f"config file {path}: {key!r} must be {expected}, got {value!r}")
     return loaded
 
 
@@ -208,7 +189,7 @@ def _parse_pca(value):
     try:
         return int(value), True
     except (TypeError, ValueError):
-        raise ConfigError(f"--pca expects an integer or 'none', got {value!r}") from None
+        raise QflakeError(f"--pca expects an integer or 'none', got {value!r}") from None
 
 
 def _pipeline_from_args(args, file_config: dict) -> tuple[PipelineConfig, dict]:
@@ -219,7 +200,6 @@ def _pipeline_from_args(args, file_config: dict) -> tuple[PipelineConfig, dict]:
     tokenizer = _effective(args, file_config, "tokenizer", "default")
     fit_all = bool(_effective(args, file_config, "replicate_paper_vectorization", False))
     tune_eval = bool(_effective(args, file_config, "replicate_paper_threshold", False))
-    policy = ThresholdPolicy(mode="tuned" if tuned else "fixed")
 
     if profile_name is None:
         profile_name = "paper_smote" if smote else "paper_vanilla"
@@ -236,7 +216,7 @@ def _pipeline_from_args(args, file_config: dict) -> tuple[PipelineConfig, dict]:
         hyperparameters=hyper,
         pca_components=pca_components,
         smote=smote,
-        threshold=policy,
+        tune_threshold=tuned,
         tokenizer=tokenizer,
         fit_vocab_on_all=fit_all,
         tune_on_eval_fold=tune_eval,
@@ -248,7 +228,7 @@ def _pipeline_from_args(args, file_config: dict) -> tuple[PipelineConfig, dict]:
         "hyperparameters": hyper,
         "pca_components": pca_components,
         "smote": smote,
-        "threshold_mode": policy.mode,
+        "threshold_mode": "tuned" if tuned else "fixed",
         "tokenizer": tokenizer,
         "replicate_paper_vectorization": fit_all,
         "replicate_paper_threshold": tune_eval,
@@ -261,13 +241,13 @@ def _prepare_out(path: Path, directory: bool) -> None:
     is done, so a bad --out fails fast as a usage error. ``directory``
     says whether the command writes a directory at ``path`` or a file."""
     if directory and path.exists() and not path.is_dir():
-        raise ConfigError(f"--out {path} is not a directory")
+        raise QflakeError(f"--out {path} is not a directory")
     if not directory and path.is_dir():
-        raise ConfigError(f"--out {path} is a directory; give a file path")
+        raise QflakeError(f"--out {path} is a directory; give a file path")
     try:
         (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(
+        raise QflakeError(
             f"--out {path}: cannot create a directory ({exc.strerror or exc})"
         ) from None
 
@@ -327,16 +307,9 @@ def cmd_train(args, file_config: dict) -> int:
     config, echo = _pipeline_from_args(args, file_config)
     seed = int(_effective(args, file_config, "seed", 0))
     if args.out is None:
-        raise ConfigError("train: --out BUNDLE_PATH is required")
+        raise QflakeError("train: --out BUNDLE_PATH is required")
     _prepare_out(args.out, directory=False)
-    corpus = load_manifest(args.manifest)
-    try:
-        bundle = train_bundle(corpus, config, seed=seed)
-    except _INVALID_RUN:
-        raise
-    except QflakeError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    bundle = train_bundle(load_manifest(args.manifest), config, seed=seed)
     bundle.metadata["effective_config"] = echo
     bundle.save(args.out)
     print(f"bundle written: {args.out} (threshold {_fmt_float(bundle.threshold)})")
@@ -359,9 +332,7 @@ def cmd_predict(args, file_config: dict) -> int:
             return EXIT_VALIDATION
     scores, labels = bundle.predict_texts(texts)
     lines = [
-        json.dumps(
-            {"path": str(p), "score": float(s), "label": l}, sort_keys=True
-        )
+        dumps({"path": str(p), "score": float(s), "label": l}, sort_keys=True)
         for p, s, l in zip(args.files, scores, labels)
     ]
     payload = "\n".join(lines) + "\n"
@@ -400,13 +371,7 @@ def cmd_evaluate(args, file_config: dict) -> int:
         _prepare_out(args.out, directory=True)
     corpus = load_manifest(args.manifest)
     data = select_subset(corpus, SubsetMode(dataset), seed)
-    try:
-        result = cross_validate(data, config, n_folds=n_folds, seed=seed)
-    except _INVALID_RUN:
-        raise
-    except QflakeError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = cross_validate(data, config, n_folds=n_folds, seed=seed)
     report = {
         "config": echo,
         "seed": seed,
@@ -430,7 +395,7 @@ def cmd_evaluate(args, file_config: dict) -> int:
             for fr in result.folds
         ],
     }
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         out_dir = Path(args.out)
         (out_dir / "report.json").write_text(payload, encoding="utf-8")
@@ -463,27 +428,21 @@ def cmd_experiment(args, file_config: dict) -> int:
         "corpus_hash": corpus.content_hash(),
     }
     run_id = hashlib.sha256(
-        json.dumps(run_config, sort_keys=True).encode("utf-8")
+        dumps(run_config, sort_keys=True).encode("utf-8")
     ).hexdigest()[:12]
     out_dir = (args.out or Path("results")) / run_id
     _prepare_out(out_dir, directory=True)
 
-    try:
-        tables = run_paper_suite(
-            corpus,
-            seed=seed,
-            families=families,
-            methods=methods,
-            n_folds=n_folds,
-            tokenizer=tokenizer,
-            fit_vocab_on_all=fit_all,
-            tune_on_eval_fold=tune_eval,
-        )
-    except _INVALID_RUN:
-        raise
-    except QflakeError as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    tables = run_paper_suite(
+        corpus,
+        seed=seed,
+        families=families,
+        methods=methods,
+        n_folds=n_folds,
+        tokenizer=tokenizer,
+        fit_vocab_on_all=fit_all,
+        tune_on_eval_fold=tune_eval,
+    )
     run_config["run_id"] = run_id
     write_results(tables, out_dir, run_config)
     print(f"results written: {out_dir}")
@@ -506,8 +465,11 @@ def main(argv=None) -> int:
         file_config = _load_config_file(args.config)
         seed = _effective(args, file_config, "seed", 0)
         if int(seed) < 0:
-            raise ConfigError("--seed must be non-negative")
+            raise QflakeError("--seed must be non-negative")
         return _COMMANDS[args.command](args, file_config)
+    except PipelineError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except QflakeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -8,24 +8,14 @@ filesystem enumeration order can never change downstream results.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadLabelError,
-    BadRecordError,
-    DuplicateIdError,
-    EmptyClassError,
-    EmptyFileError,
-    EncodingError,
-    MissingFileError,
-    QflakeError,
-    TooFewSamplesError,
-)
+from .errors import QflakeError
+from .jsonio import dumps, loads
 from .seeding import STREAM_FOLDS, STREAM_SUBSET, rng_for
 
 
@@ -62,7 +52,7 @@ class Corpus:
         seen = set()
         for e in self.entries:
             if e.id in seen:
-                raise DuplicateIdError(f"duplicate entry id: {e.id!r}")
+                raise QflakeError(f"duplicate entry id: {e.id!r}")
             seen.add(e.id)
 
     def __len__(self) -> int:
@@ -114,38 +104,38 @@ def _decode(path: Path) -> str:
         data = path.read_bytes()
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise MissingFileError(f"cannot read {path}: {reason}") from None
+        raise QflakeError(f"cannot read {path}: {reason}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: not valid UTF-8 ({exc})") from None
+        raise QflakeError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
 def _parse_record(line: str, base: Path, seen_ids: set) -> CorpusEntry:
     """One manifest line to an entry, or the QflakeError that rejects it."""
     try:
-        record = json.loads(line)
+        record = loads(line)
     except (ValueError, RecursionError) as exc:
-        raise BadRecordError(f"invalid JSON ({exc})") from None
+        raise QflakeError(f"invalid JSON ({exc})") from None
     if not isinstance(record, dict):
-        raise BadRecordError(f"record must be a JSON object, got {type(record).__name__}")
+        raise QflakeError(f"record must be a JSON object, got {type(record).__name__}")
     missing = [k for k in ("id", "path", "label") if k not in record]
     if missing:
-        raise BadRecordError(f"missing field(s) {missing}")
+        raise QflakeError(f"missing field(s) {missing}")
     entry_id = str(record["id"])
     if entry_id in seen_ids:
-        raise DuplicateIdError(f"duplicate id {entry_id!r}")
+        raise QflakeError(f"duplicate id {entry_id!r}")
     seen_ids.add(entry_id)
     if record["label"] not in [label.value for label in CLASS_ORDER]:
-        raise BadLabelError(
+        raise QflakeError(
             f"label must be 'flaky' or 'nonflaky', got {record['label']!r}"
         )
     if not isinstance(record["path"], str):
-        raise BadRecordError(f"path must be a string, got {record['path']!r}")
+        raise QflakeError(f"path must be a string, got {record['path']!r}")
     file_path = base / record["path"]
     text = _decode(file_path)
     if not text:
-        raise EmptyFileError(f"{file_path}: file is empty")
+        raise QflakeError(f"{file_path}: file is empty")
     return CorpusEntry(
         id=entry_id,
         path=str(file_path),
@@ -219,7 +209,7 @@ def scan_tree(root) -> list[dict]:
 def write_manifest(records, manifest_path) -> None:
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+    lines = [dumps(r, sort_keys=True) for r in records]
     manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -239,7 +229,7 @@ def select_subset(corpus: Corpus, mode: SubsetMode, seed: int) -> Corpus:
     counts = corpus.class_counts
     for label in CLASS_ORDER:
         if counts[label] == 0:
-            raise EmptyClassError(f"corpus has no {label.value} entries")
+            raise QflakeError(f"corpus has no {label.value} entries")
     if mode in (SubsetMode.IMBALANCED, SubsetMode.ALL):
         return corpus
 
@@ -261,11 +251,11 @@ def stratified_folds(corpus: Corpus, n_folds: int, seed: int) -> FoldAssignment:
     round-robin so per-class fold sizes differ by at most one.
     """
     if n_folds < 2:
-        raise TooFewSamplesError("n_folds must be at least 2")
+        raise QflakeError("n_folds must be at least 2")
     counts = corpus.class_counts
     for label in CLASS_ORDER:
         if counts[label] < n_folds:
-            raise TooFewSamplesError(
+            raise QflakeError(
                 f"class {label.value} has {counts[label]} entries, "
                 f"fewer than n_folds={n_folds}"
             )

@@ -19,13 +19,7 @@ import numpy as np
 
 from .classifiers import get_profile, predict_labels, train_model
 from .corpus import Corpus, stratified_folds
-from .errors import (
-    ConfigError,
-    EmptyInputError,
-    EmptyMatrixError,
-    EmptyVocabularyError,
-    LengthMismatchError,
-)
+from .errors import PipelineError, QflakeError
 from .linalg import PcaModel, pca_ceiling, pca_fit, pca_transform
 from .resample import smote_resample
 from .seeding import STREAM_TUNE_SPLIT, derive_seed, rng_for
@@ -60,7 +54,7 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     y_true = np.asarray(y_true).astype(np.int8)
     y_pred = np.asarray(y_pred).astype(np.int8)
     if y_true.shape != y_pred.shape:
-        raise LengthMismatchError(
+        raise PipelineError(
             f"y_true has {y_true.shape} entries, y_pred has {y_pred.shape}"
         )
     tp = int(((y_true == 1) & (y_pred == 1)).sum())
@@ -89,7 +83,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricReport:
     """
     total = cm.total
     if total == 0:
-        raise EmptyMatrixError("confusion matrix counts sum to zero")
+        raise PipelineError("confusion matrix counts sum to zero")
     flags = set()
     accuracy = (cm.tp + cm.tn) / total
 
@@ -151,9 +145,9 @@ def tune_threshold(scores, y_true) -> ThresholdCurve:
     scores = np.asarray(scores, dtype=np.float64)
     y_true = np.asarray(y_true).astype(np.int8)
     if scores.size == 0:
-        raise EmptyInputError("no scores to tune on")
+        raise PipelineError("no scores to tune on")
     if scores.shape != y_true.shape:
-        raise LengthMismatchError("scores and y_true differ in length")
+        raise PipelineError("scores and y_true differ in length")
     grid = []
     best_t = None
     best_f1 = -1.0
@@ -167,53 +161,34 @@ def tune_threshold(scores, y_true) -> ThresholdCurve:
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
-    """Either a fixed cutoff or a tuned sweep over the 0.1-0.9 grid."""
-
-    mode: str  # "fixed" | "tuned"
-    value: float = 0.5
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "tuned"):
-            raise ConfigError(f"threshold mode must be fixed or tuned, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """Everything one cross-validated pipeline run needs.
 
-    ``fit_vocab_on_all`` switches vocabulary fitting from the training
-    folds (leak-free default) to the whole dataset; ``tune_on_eval_fold``
-    switches threshold tuning from an inner training split to the
-    evaluation fold. Both replicate the reference protocol when enabled.
+    ``tune_threshold`` sweeps the decision threshold over the 0.1-0.9
+    grid instead of keeping 0.5. ``fit_vocab_on_all`` switches vocabulary
+    fitting from the training folds (leak-free default) to the whole
+    dataset; ``tune_on_eval_fold`` switches threshold tuning from an inner
+    training split to the evaluation fold. Both replicate the reference
+    protocol when enabled.
     """
 
     family: str
     hyperparameters: dict = field(hash=False)
     pca_components: int | None = None
     smote: bool = False
-    threshold: ThresholdPolicy = ThresholdPolicy(mode="fixed")
+    tune_threshold: bool = False
     tokenizer: str = "default"
     fit_vocab_on_all: bool = False
     tune_on_eval_fold: bool = False
     profile_name: str | None = None
 
     @classmethod
-    def from_profile(
-        cls,
-        family: str,
-        profile: str,
-        smote: bool = False,
-        threshold: ThresholdPolicy | None = None,
-        **kwargs,
-    ) -> "PipelineConfig":
+    def from_profile(cls, family: str, profile: str, **kwargs) -> "PipelineConfig":
         builtin = get_profile(family, profile)
         return cls(
             family=family,
             hyperparameters=builtin.hyperparameters,
             pca_components=builtin.pca_components,
-            smote=smote,
-            threshold=threshold or ThresholdPolicy(mode="fixed"),
             profile_name=builtin.name,
             **kwargs,
         )
@@ -311,24 +286,21 @@ class FittedPipeline:
 
 
 def fit_pipeline(
-    docs, y, config: PipelineConfig, seed: int, tag, vocab_docs=None, policies=None
-) -> tuple[FittedPipeline, ...]:
+    docs, y, config: PipelineConfig, seed: int, tag, vocab_docs=None
+) -> FittedPipeline:
     """Fit vectorize -> SMOTE -> PCA -> model -> threshold on tokenized
     training documents ``docs`` with labels ``y`` (1 = flaky).
 
     The vocabulary is fitted on ``vocab_docs`` when given, else on
     ``docs``. SMOTE always runs before PCA. Random streams derive from
-    (seed, stage, tag). Returns one pipeline per threshold policy in
-    ``policies`` (default: ``config.threshold`` alone), all sharing one
-    vocabulary, PCA and model. A fixed policy keeps its value. A tuned
-    one is tuned on a seeded stratified 20% of the pre-SMOTE training
-    rows, scored once for every tuned policy, unless ``tune_on_eval_fold``
-    leaves tuning to the caller's evaluation fold.
+    (seed, stage, tag). The threshold is 0.5, or with ``tune_threshold``
+    tuned on a seeded stratified 20% of the pre-SMOTE training rows,
+    unless ``tune_on_eval_fold`` leaves tuning to the caller's evaluation
+    fold.
     """
-    policies = (config.threshold,) if policies is None else tuple(policies)
     vocab = fit_vocabulary(docs if vocab_docs is None else vocab_docs)
     if not len(vocab):
-        raise EmptyVocabularyError(
+        raise QflakeError(
             f"empty vocabulary: the {config.tokenizer!r} tokenizer finds no token "
             "in the training documents"
         )
@@ -364,24 +336,17 @@ def fit_pipeline(
         pca_effective=pca_effective,
         smote_synthetic=smote_synthetic,
     )
-    tuning_set = None
-    pipelines = []
-    for policy in policies:
-        if policy.mode == "tuned" and not config.tune_on_eval_fold:
-            if tuning_set is None:
-                positions = _tuning_subset_positions(y, seed, tag)
-                tuning_set = (fitted.score_counts(X[positions]), y[positions])
-            pipelines.append(fitted.tuned(*tuning_set))
-        else:
-            pipelines.append(replace(fitted, threshold=policy.value))
-    return tuple(pipelines)
+    if config.tune_threshold and not config.tune_on_eval_fold:
+        positions = _tuning_subset_positions(y, seed, tag)
+        fitted = fitted.tuned(fitted.score_counts(X[positions]), y[positions])
+    return fitted
 
 
 @dataclass(frozen=True)
 class _CrossValState:
     """What every (fold, group) fit of one ``cross_validate_all`` call reads:
-    the configs, the groups of configs sharing one model (a config without
-    its threshold policy, and its members' indices), each fold's training
+    the configs, the groups of configs sharing one model (a config with
+    ``tune_threshold`` off, and its members' indices), each fold's training
     and held-out ids and labels, and the tokenized documents."""
 
     configs: tuple[PipelineConfig, ...]
@@ -394,28 +359,32 @@ class _CrossValState:
 
 def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
     """Fit group ``g`` on the training folds of fold ``f`` and score the
-    held-out fold once; one FoldResult per member of the group, in order."""
+    held-out fold once; one FoldResult per member of the group, in order.
+    The group's one fit is tuned when any member tunes, so the inner
+    tuning rows are scored once; a fixed member keeps 0.5."""
     config, members = state.groups[g]
     train_ids, eval_ids, y_train, y_eval = state.splits[f]
     tokens = state.docs[config.tokenizer]
     vocab_docs = [tokens[i] for i in state.all_ids] if config.fit_vocab_on_all else None
-    pipelines = fit_pipeline(
-        [tokens[i] for i in train_ids], y_train, config, state.seed, f, vocab_docs,
-        [state.configs[i].threshold for i in members],
+    tuned = [state.configs[i].tune_threshold for i in members]
+    fitted = fit_pipeline(
+        [tokens[i] for i in train_ids], y_train,
+        replace(config, tune_threshold=any(tuned)), state.seed, f, vocab_docs,
     )
-    eval_scores = pipelines[0].score([tokens[i] for i in eval_ids])
+    eval_scores = fitted.score([tokens[i] for i in eval_ids])
+    if any(tuned) and config.tune_on_eval_fold:
+        fitted = fitted.tuned(eval_scores, y_eval)
     results = []
-    for i, fitted in zip(members, pipelines):
-        if state.configs[i].threshold.mode == "tuned" and config.tune_on_eval_fold:
-            fitted = fitted.tuned(eval_scores, y_eval)
-        cm = confusion(y_eval, predict_labels(eval_scores, fitted.threshold))
+    for tune in tuned:
+        threshold, curve = (fitted.threshold, fitted.curve) if tune else (0.5, None)
+        cm = confusion(y_eval, predict_labels(eval_scores, threshold))
         results.append(
             FoldResult(
                 fold=f,
                 report=compute_metrics(cm),
                 cm=cm,
-                threshold=fitted.threshold,
-                threshold_curve=fitted.curve,
+                threshold=threshold,
+                threshold_curve=curve,
                 n_train=len(train_ids),
                 n_eval=len(eval_ids),
                 vocab_size=len(fitted.vocabulary),
@@ -499,10 +468,10 @@ def cross_validate_all(
     the same folds; result i equals ``cross_validate(configs[i])`` run alone.
 
     Each document is tokenized once per tokenizer profile. Configs that
-    differ only in threshold policy share one model per fold: one
+    differ only in ``tune_threshold`` share one model per fold: one
     ``fit_pipeline`` on the training folds (seed tag = fold index;
     vocabulary from every fold when ``fit_vocab_on_all``) and one scoring
-    of the held-out fold. Each policy then takes its threshold: fixed,
+    of the held-out fold. Each config then takes its threshold: 0.5,
     tuned on the inner training split, or tuned on the held-out fold when
     ``tune_on_eval_fold``. Each model is freed before its task returns.
     The (fold, group) fits run on one worker process per usable CPU;
@@ -518,7 +487,7 @@ def cross_validate_all(
         docs[name] = {e.id: tokenize(e.text, profile) for e in corpus}
     groups: dict[PipelineConfig, list[int]] = {}
     for i, config in enumerate(configs):
-        groups.setdefault(replace(config, threshold=ThresholdPolicy("fixed")), []).append(i)
+        groups.setdefault(replace(config, tune_threshold=False), []).append(i)
     splits = []
     for f in range(n_folds):
         train_ids = [i for i in all_ids if folds.assignment[i] != f]

@@ -9,20 +9,19 @@ not expected (seeds and solver internals differ).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus, SubsetMode, select_subset
-from .errors import ConfigError
+from .errors import QflakeError
 from .eval import (
     METRIC_NAMES,
     CrossValResult,
     PipelineConfig,
-    ThresholdPolicy,
     cross_validate_all,
 )
 from .classifiers import FAMILIES
+from .jsonio import dumps
 
 METHODS = ("vanilla", "smote", "threshold", "hybrid")
 
@@ -170,12 +169,11 @@ def pipeline_config_for(
     tune_on_eval_fold: bool = False,
 ) -> PipelineConfig:
     profile, smote, tuned = _METHOD_WIRING[method]
-    policy = ThresholdPolicy(mode="tuned" if tuned else "fixed")
     return PipelineConfig.from_profile(
         family,
         profile,
         smote=smote,
-        threshold=policy,
+        tune_threshold=tuned,
         tokenizer=tokenizer,
         fit_vocab_on_all=fit_vocab_on_all,
         tune_on_eval_fold=tune_on_eval_fold,
@@ -272,15 +270,15 @@ def run_paper_suite(
     runs vanilla: the imbalance remedies apply to the 1:5 set.
     """
     if not methods:
-        raise ConfigError("no methods requested")
+        raise QflakeError("no methods requested")
     if not families:
-        raise ConfigError("no families requested")
+        raise QflakeError("no families requested")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise ConfigError(f"unknown methods: {unknown}")
+        raise QflakeError(f"unknown methods: {unknown}")
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
-        raise ConfigError(f"unknown families: {unknown}")
+        raise QflakeError(f"unknown families: {unknown}")
     settings = dict(
         families=families,
         seed=seed,
@@ -400,6 +398,6 @@ def write_results(tables: dict[str, ResultsTable], out_dir, run_config: dict) ->
         )
         run_payload["tables"][key] = table_to_dict(table)
     (out_dir / "run.json").write_text(
-        json.dumps(run_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        dumps(run_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return out_dir

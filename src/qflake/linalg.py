@@ -15,23 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    NonFiniteMatrixError,
-    RankTooSmallError,
-    SpecInvalidError,
-    SvdNotConvergedError,
-)
+from .errors import PipelineError, QflakeError
 
 
 def as_matrix(X) -> np.ndarray:
     """Coerce to a finite 2-D float64 array."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise DimensionMismatchError(f"expected 2-D matrix, got ndim={X.ndim}")
+        raise PipelineError(f"expected 2-D matrix, got ndim={X.ndim}")
     if not np.all(np.isfinite(X)):
-        raise NonFiniteMatrixError("matrix contains NaN or infinite entries")
+        raise PipelineError("matrix contains NaN or infinite entries")
     return X
 
 
@@ -52,32 +45,32 @@ def encode_array(a) -> dict:
 def decode_array(payload, ndim: int, key: str = "float64le") -> np.ndarray:
     """The array of rank ``ndim`` that ``encode_array`` wrote as
     ``payload`` under ``key``, bit for bit: float64 arrays must be finite.
-    Anything else raises SpecInvalidError."""
+    Anything else raises QflakeError."""
     if not isinstance(payload, dict):
-        raise SpecInvalidError(f"array must be a JSON object, got {type(payload).__name__}")
+        raise QflakeError(f"array must be a JSON object, got {type(payload).__name__}")
     shape, text = payload.get("shape"), payload.get(key)
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise SpecInvalidError(
+        raise QflakeError(
             f"array shape must be a list of non-negative integers, got {shape!r}"
         )
     if len(shape) != ndim:
-        raise SpecInvalidError(f"array shape {shape} is not of rank {ndim}")
+        raise QflakeError(f"array shape {shape} is not of rank {ndim}")
     if not isinstance(text, str):
-        raise SpecInvalidError(f"array {key} must be a base64 string")
+        raise QflakeError(f"array {key} must be a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII string
-        raise SpecInvalidError(f"array {key} is not valid base64") from None
+        raise QflakeError(f"array {key} is not valid base64") from None
     if len(raw) != 8 * math.prod(shape):
-        raise SpecInvalidError(
+        raise QflakeError(
             f"array of shape {shape} needs {8 * math.prod(shape)} bytes, got {len(raw)}"
         )
     try:
         a = np.frombuffer(raw, dtype=_ARRAY_DTYPES[key]).reshape(shape)
     except ValueError as exc:  # a zero-size shape too large to index
-        raise SpecInvalidError(f"array shape {shape}: {exc}") from None
+        raise QflakeError(f"array shape {shape}: {exc}") from None
     if a.dtype.kind == "f" and not np.isfinite(a).all():
-        raise SpecInvalidError("array holds NaN or infinite values")
+        raise QflakeError("array holds NaN or infinite values")
     return a
 
 
@@ -109,10 +102,10 @@ def pca_fit(X, k: int) -> PcaModel:
     X = as_matrix(X)
     n, d = X.shape
     if n < 2:
-        raise DegenerateInputError(f"PCA needs at least 2 rows, got {n}")
+        raise PipelineError(f"PCA needs at least 2 rows, got {n}")
     ceiling = pca_ceiling(n, d)
     if not 1 <= k <= ceiling:
-        raise RankTooSmallError(
+        raise PipelineError(
             f"k={k} outside admissible range [1, {ceiling}] for shape {X.shape}"
         )
     mean = X.mean(axis=0)
@@ -126,7 +119,7 @@ def pca_fit(X, k: int) -> PcaModel:
         try:
             u, s, _ = np.linalg.svd(centered.T, full_matrices=False)
         except np.linalg.LinAlgError:
-            raise SvdNotConvergedError(
+            raise PipelineError(
                 f"SVD did not converge on the centered {n}x{d} matrix or its transpose"
             ) from None
         vt = u.T
@@ -143,7 +136,7 @@ def pca_fit(X, k: int) -> PcaModel:
 def pca_transform(model: PcaModel, X) -> np.ndarray:
     X = as_matrix(X)
     if X.shape[1] != model.n_features:
-        raise DimensionMismatchError(
+        raise PipelineError(
             f"matrix has {X.shape[1]} columns, model expects {model.n_features}"
         )
     return (X - model.mean) @ model.components.T
@@ -152,7 +145,7 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
 def pca_inverse_transform(model: PcaModel, Z) -> np.ndarray:
     Z = as_matrix(Z)
     if Z.shape[1] != model.n_components:
-        raise DimensionMismatchError(
+        raise PipelineError(
             f"matrix has {Z.shape[1]} columns, model has {model.n_components} components"
         )
     return Z @ model.components + model.mean

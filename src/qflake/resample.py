@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MinorityTooSmallError, SpecInvalidError
+from .errors import PipelineError, QflakeError
 from .linalg import as_matrix
 from .seeding import STREAM_SMOTE, rng_for
 
@@ -58,9 +58,9 @@ def smote_resample(X, y, k_neighbors: int = 5, seed: int = 0) -> ResampledSet:
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int8)
     if len(y) != X.shape[0]:
-        raise SpecInvalidError("X and y disagree on the number of rows")
+        raise QflakeError("X and y disagree on the number of rows")
     if k_neighbors < 1:
-        raise SpecInvalidError("k_neighbors must be at least 1")
+        raise QflakeError("k_neighbors must be at least 1")
 
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
@@ -72,7 +72,7 @@ def smote_resample(X, y, k_neighbors: int = 5, seed: int = 0) -> ResampledSet:
     minority_idx = np.flatnonzero(y == minority_label)
     m = len(minority_idx)
     if m < 2:
-        raise MinorityTooSmallError(
+        raise PipelineError(
             f"minority class has {m} sample(s); SMOTE needs at least 2"
         )
 

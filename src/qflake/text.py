@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import QflakeError
 
 _WORD_RUN = re.compile(r"\w+")
 
@@ -38,7 +38,7 @@ def get_tokenizer_profile(name: str) -> TokenizerProfile:
     try:
         return TOKENIZER_PROFILES[name]
     except KeyError:
-        raise ConfigError(
+        raise QflakeError(
             f"unknown tokenizer profile {name!r}; "
             f"expected one of {sorted(TOKENIZER_PROFILES)}"
         ) from None

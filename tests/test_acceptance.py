@@ -19,7 +19,7 @@ import pytest
 
 from qflake.bundle import ModelBundle, train_bundle
 from qflake.classifiers import get_profile, train_model
-from qflake.eval import PipelineConfig, ThresholdPolicy, cross_validate
+from qflake.eval import PipelineConfig, cross_validate
 from qflake.linalg import pca_fit, pca_inverse_transform, pca_transform
 from qflake.resample import smote_resample
 from qflake.text import fit_vocabulary, tokenize, transform
@@ -301,7 +301,7 @@ def test_criterion_7_wiring_equivalences(suite_runs, corpus288):
             family,
             "paper_smote",
             smote=True,
-            threshold=ThresholdPolicy(mode="fixed", value=0.5),
+            tune_threshold=False,
         )
         outcome = cross_validate(corpus288, config, n_folds=5, seed=42)
         smote_row = rows[("smote", family)]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qflake.classifiers import boosting, get_profile, sigmoid, train_gbt
 from qflake.classifiers.tree import NodeArrays
-from qflake.errors import DimensionMismatchError, SpecInvalidError
+from qflake.errors import PipelineError, QflakeError
 
 from presorted_grower import append_tree, grow_presorted_tree
 from recursive_predict import recursive_score, tree_predict_value
@@ -131,13 +131,13 @@ class TestGradientBoosting:
         model = train_gbt(
             X, y, {"learning_rate": 0.5, "max_depth": 2, "n_estimators": 3}
         )
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PipelineError, match="matrix has 3 features, model expects 2"):
             model.score(np.zeros((1, 3)))
 
     def test_missing_hyperparameters_rejected(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        with pytest.raises(SpecInvalidError):
+        with pytest.raises(QflakeError, match="xgb: missing hyperparameter 'max_depth'"):
             train_gbt(X, y, {"learning_rate": 0.5})
 
     def test_serialization_roundtrip(self):
@@ -163,7 +163,7 @@ class TestGradientBoosting:
         payload = train_gbt(
             X, y, {"learning_rate": 0.5, "max_depth": 3, "n_estimators": 2}
         ).to_dict()
-        with pytest.raises(SpecInvalidError, match=key):
+        with pytest.raises(QflakeError, match=key):
             boosting.GradientBoostingModel.from_dict({**payload, key: value})
 
 

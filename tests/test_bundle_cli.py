@@ -10,7 +10,7 @@ from qflake import cli, linalg
 from qflake.bundle import FORMAT_VERSION, ModelBundle, train_bundle
 from qflake.classifiers.tree import FlatTrees
 from qflake.corpus import Corpus, Label
-from qflake.eval import PipelineConfig, ThresholdPolicy
+from qflake.eval import PipelineConfig
 
 from recursive_predict import node_to_dict
 
@@ -99,9 +99,7 @@ class TestBundle:
         assert bundle.metadata["threshold_mode"] == "fixed"
 
     def test_tuned_threshold_lands_on_grid(self, tiny_corpus):
-        config = PipelineConfig.from_profile(
-            "dt", "paper_vanilla", threshold=ThresholdPolicy(mode="tuned")
-        )
+        config = PipelineConfig.from_profile("dt", "paper_vanilla", tune_threshold=True)
         bundle = train_bundle(tiny_corpus, config, seed=1)
         grid = [round(0.1 + 0.1 * i, 10) for i in range(9)]
         assert bundle.threshold in grid
@@ -460,6 +458,22 @@ def _configured(tmp_path, payload):
     return [command, *args, "--config", cfg]
 
 
+def _validated_with(tmp_path, line):
+    """``ingest --manifest`` of the manifest ``_manifest_with`` writes."""
+    _, _, manifest, *_ = _manifest_with(tmp_path, line)
+    return ["ingest", "--manifest", manifest]
+
+
+def _trained_with_config(tmp_path, text):
+    """``train --family xgb`` on a trainable manifest, with a --config file
+    holding ``text``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    manifest = _trainable_manifest(tmp_path)
+    return ["train", "--manifest", manifest, "--family", "xgb", "--out", tmp_path / "b.json",
+            "--config", cfg]
+
+
 def _tokenless(tmp_path, command):
     """Every file is ``x = 1``: no token reaches the two-character floor."""
     manifest = _labelled_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 4)
@@ -522,6 +536,7 @@ MALFORMED_INPUTS = {
     "record-without-label": (_manifest_with, '{"id": "b", "path": "a.py"}'),
     "record-is-json-array": (_manifest_with, '["b", "a.py", "flaky"]'),
     "record-invalid-json": (_manifest_with, '{"id": "b", "path"'),
+    "record-id-nan": (_validated_with, '{"id": NaN, "path": "a.py", "label": "nonflaky"}'),
     "bundle-not-json": (_bundle_with, "not json at all"),
     "bundle-missing-keys": (_bundle_with, f'{{"format_version": {FORMAT_VERSION}}}'),
     "bundle-format-version-1": (_edited_bundle, ("knn", _to_format_1)),
@@ -621,6 +636,13 @@ MALFORMED_INPUTS = {
         _configured, ("evaluate", {"hyperparameters": {"max_depth": "x"}})
     ),
     "config-models-not-list": (_configured, ("experiment", {"models": "dt"})),
+    "config-hyperparameter-infinity": (
+        _trained_with_config, '{"hyperparameters": {"learning_rate": Infinity}}'
+    ),
+    "config-hyperparameter-overflow": (
+        _trained_with_config, '{"hyperparameters": {"learning_rate": 1e999}}'
+    ),
+    "config-nested-too-deep": (_trained_with_config, "[" * 5000 + "]" * 5000),
     "train-empty-vocabulary": (_tokenless, "train"),
     "evaluate-empty-vocabulary": (_tokenless, "evaluate"),
     "experiment-empty-vocabulary": (_tokenless, "experiment"),
@@ -662,6 +684,10 @@ MALFORMED_MESSAGES = {
     "bundle-xgb-base-raw-nan": "NaN is not a JSON number",
     "bundle-xgb-learning-rate-string": "xgb learning_rate must be a finite number, got '0.3'",
     "bundle-xgb-prior-out-of-range": "xgb prior must be in [0, 1], got 7.0",
+    "record-id-nan": "m.jsonl:2: invalid JSON (NaN is not a JSON number)",
+    "config-hyperparameter-infinity": "is not valid JSON: Infinity is not a JSON number",
+    "config-hyperparameter-overflow": "xgb: invalid value for 'learning_rate': inf",
+    "config-nested-too-deep": "is not valid JSON: maximum recursion depth exceeded",
 }
 
 
@@ -710,15 +736,48 @@ def test_config_file_error_names_the_key(tmp_path):
     assert "'models' must be a list" in proc.stderr, proc.stderr
 
 
-def test_unconverged_svd_exits_3_with_one_line(tiny_manifest, tmp_path, monkeypatch, capsys):
+def _svd_never_converges(tmp_path, manifest, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(linalg.np.linalg, "svd", no_convergence)
-    code = cli.main([
-        "experiment", "--manifest", str(tiny_manifest), "--methods", "vanilla",
-        "--models", "knn", "--folds", "4", "--out", str(tmp_path),
-    ])
+    return ["experiment", "--manifest", manifest, "--methods", "vanilla", "--models", "knn",
+            "--folds", 4, "--out", tmp_path]
+
+
+def _smote_on_one_flaky_file(tmp_path, manifest, monkeypatch):
+    """A 2:10 corpus in two folds: each training fold holds one flaky file."""
+    manifest = _trainable_manifest(tmp_path, ["flaky"] * 2 + ["nonflaky"] * 10)
+    return ["experiment", "--manifest", manifest, "--methods", "smote", "--models", "dt",
+            "--folds", 2, "--out", tmp_path / "out"]
+
+
+def _more_neighbors_than_rows(tmp_path, manifest, monkeypatch):
+    """knn with 15 neighbors on the 8:16 corpus in two folds of 12 files."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hyperparameters": {"n_neighbors": 15}}))
+    return ["evaluate", "--manifest", manifest, "--family", "knn", "--folds", 2,
+            "--config", cfg]
+
+
+# Valid input that a stage cannot fit: case -> (argv builder, the line's start)
+FAILED_RUNS = {
+    "svd-not-converged": (_svd_never_converges, "experiment failed: SVD did not converge"),
+    "smote-minority-of-one": (
+        _smote_on_one_flaky_file,
+        "experiment failed: minority class has 1 sample(s); SMOTE needs at least 2",
+    ),
+    "knn-more-neighbors-than-rows": (
+        _more_neighbors_than_rows,
+        "evaluate failed: n_neighbors=15 exceeds the 12 training rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILED_RUNS))
+def test_failed_run_exits_3_with_one_line(case, tiny_manifest, tmp_path, monkeypatch, capsys):
+    build, message = FAILED_RUNS[case]
+    code = cli.main([str(a) for a in build(tmp_path, tiny_manifest, monkeypatch)])
     err = capsys.readouterr().err
-    assert code == 3
-    assert len(err.splitlines()) == 1 and "SVD did not converge" in err
+    assert code == 3, err
+    assert len(err.splitlines()) == 1 and err.startswith(message), err

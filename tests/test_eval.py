@@ -6,15 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflake.corpus import Label
-from qflake.errors import (
-    EmptyInputError,
-    EmptyMatrixError,
-    LengthMismatchError,
-)
+from qflake.errors import PipelineError
 from qflake.eval import (
     ConfusionMatrix,
     PipelineConfig,
-    ThresholdPolicy,
     aggregate_reports,
     compute_metrics,
     confusion,
@@ -58,7 +53,7 @@ class TestConfusion:
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 1, 1)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(PipelineError, match="y_true has"):
             confusion([1, 0], [1])
 
 
@@ -89,7 +84,7 @@ class TestComputeMetrics:
         assert report.f1 == 0.0 and "f1" in report.flags
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrixError):
+        with pytest.raises(PipelineError, match="confusion matrix counts sum to zero"):
             compute_metrics(ConfusionMatrix(0, 0, 0, 0))
 
     def test_oracle_equivalence_on_random_matrices(self):
@@ -166,7 +161,7 @@ class TestTuneThreshold:
             assert curve.best_f1 >= curve.f1_at(0.5)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(PipelineError, match="no scores to tune on"):
             tune_threshold(np.array([]), np.array([]))
 
 
@@ -260,9 +255,7 @@ class TestCrossValidate:
         )
 
     def test_tuned_threshold_recorded_with_curve(self, tiny_corpus):
-        config = PipelineConfig.from_profile(
-            "dt", "paper_vanilla", threshold=ThresholdPolicy(mode="tuned")
-        )
+        config = PipelineConfig.from_profile("dt", "paper_vanilla", tune_threshold=True)
         result = cross_validate(tiny_corpus, config, n_folds=4, seed=5)
         for fr in result.folds:
             assert fr.threshold_curve is not None
@@ -273,7 +266,7 @@ class TestCrossValidate:
         config = PipelineConfig.from_profile(
             "dt",
             "paper_vanilla",
-            threshold=ThresholdPolicy(mode="tuned"),
+            tune_threshold=True,
             tune_on_eval_fold=True,
         )
         result = cross_validate(tiny_corpus, config, n_folds=4, seed=5)

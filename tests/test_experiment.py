@@ -10,8 +10,8 @@ import pytest
 
 from qflake import eval as eval_mod, experiment
 from qflake.corpus import SubsetMode, select_subset
-from qflake.errors import ConfigError, SvdNotConvergedError
-from qflake.eval import PipelineConfig, ThresholdPolicy, cross_validate
+from qflake.errors import PipelineError, QflakeError
+from qflake.eval import PipelineConfig, cross_validate
 from qflake.experiment import (
     METHODS,
     REFERENCE_RESULTS,
@@ -31,13 +31,13 @@ class TestSuiteSettings:
         assert [r.method for r in tables["table_imbalanced"].rows] == ["hybrid", "vanilla"]
 
     def test_unknown_family_rejected(self, tiny_corpus):
-        with pytest.raises(ConfigError):
+        with pytest.raises(QflakeError, match=r"unknown families: \['mlp'\]"):
             run_paper_suite(tiny_corpus, families=("mlp",))
-        with pytest.raises(ConfigError):
+        with pytest.raises(QflakeError, match="no families requested"):
             run_paper_suite(tiny_corpus, families=())
 
     def test_unknown_method_rejected(self, tiny_corpus):
-        with pytest.raises(ConfigError):
+        with pytest.raises(QflakeError, match=r"unknown methods: \['bagging'\]"):
             run_paper_suite(tiny_corpus, methods=("vanilla", "bagging"))
 
 
@@ -46,7 +46,7 @@ class TestMethodWiring:
         cfg = pipeline_config_for("vanilla", "svm")
         assert cfg.profile_name == "paper_vanilla"
         assert not cfg.smote
-        assert cfg.threshold.mode == "fixed"
+        assert not cfg.tune_threshold
         assert cfg.pca_components == 220
 
     def test_smote_wiring_switches_profile(self):
@@ -59,12 +59,12 @@ class TestMethodWiring:
         cfg = pipeline_config_for("threshold", "xgb")
         assert cfg.profile_name == "paper_vanilla"
         assert not cfg.smote
-        assert cfg.threshold.mode == "tuned"
+        assert cfg.tune_threshold
 
     def test_hybrid_combines_smote_and_tuning(self):
         cfg = pipeline_config_for("hybrid", "knn")
         assert cfg.profile_name == "paper_smote"
-        assert cfg.smote and cfg.threshold.mode == "tuned"
+        assert cfg.smote and cfg.tune_threshold
         assert cfg.pca_components == 200
 
     def test_tree_families_never_get_pca(self):
@@ -112,8 +112,7 @@ class TestWiringEquivalences:
     def test_hybrid_with_frozen_threshold_reproduces_smote_cell(self, tiny_corpus):
         smote_cfg = PipelineConfig.from_profile("dt", "paper_smote", smote=True)
         frozen_hybrid = PipelineConfig.from_profile(
-            "dt", "paper_smote", smote=True,
-            threshold=ThresholdPolicy(mode="fixed", value=0.5),
+            "dt", "paper_smote", smote=True, tune_threshold=False
         )
         a = cross_validate(tiny_corpus, smote_cfg, n_folds=4, seed=9)
         b = cross_validate(tiny_corpus, frozen_hybrid, n_folds=4, seed=9)
@@ -122,9 +121,7 @@ class TestWiringEquivalences:
 
     def test_threshold_pipeline_at_half_reproduces_vanilla(self, tiny_corpus):
         vanilla = PipelineConfig.from_profile("rf", "paper_vanilla")
-        fixed_half = PipelineConfig.from_profile(
-            "rf", "paper_vanilla", threshold=ThresholdPolicy(mode="fixed", value=0.5)
-        )
+        fixed_half = PipelineConfig.from_profile("rf", "paper_vanilla", tune_threshold=False)
         a = cross_validate(tiny_corpus, vanilla, n_folds=4, seed=9)
         b = cross_validate(tiny_corpus, fixed_half, n_folds=4, seed=9)
         assert a.aggregate == b.aggregate
@@ -134,9 +131,7 @@ class TestWiringEquivalences:
         folds where it selects 0.5 yield the vanilla confusion matrix.
         """
         vanilla = PipelineConfig.from_profile("dt", "paper_vanilla")
-        tuned = PipelineConfig.from_profile(
-            "dt", "paper_vanilla", threshold=ThresholdPolicy(mode="tuned")
-        )
+        tuned = PipelineConfig.from_profile("dt", "paper_vanilla", tune_threshold=True)
         a = cross_validate(tiny_corpus, vanilla, n_folds=4, seed=9)
         b = cross_validate(tiny_corpus, tuned, n_folds=4, seed=9)
         for fa, fb in zip(a.folds, b.folds):
@@ -160,7 +155,7 @@ class TestSuite:
             results = real(data, configs, **kwargs)
             for r in results:
                 key = (data.content_hash(), r.config.profile_name, r.config.smote,
-                       r.config.family, r.config.threshold.mode)
+                       r.config.family, r.config.tune_threshold)
                 walked[key] = r
             return results
 
@@ -175,7 +170,7 @@ class TestSuite:
             assert row.mean == alone.aggregate.mean
             assert row.std == alone.aggregate.std
             key = (data.content_hash(), pipeline.profile_name, pipeline.smote,
-                   row.family, pipeline.threshold.mode)
+                   row.family, pipeline.tune_threshold)
             assert [fr.cm for fr in walked[key].folds] == [fr.cm for fr in alone.folds]
             assert walked[key] == alone
 
@@ -229,7 +224,7 @@ class TestSuite:
         assert len(run["tables"]["table_imbalanced"]["rows"]) == 20
 
     def test_no_methods_rejected(self, tiny_corpus):
-        with pytest.raises(ConfigError):
+        with pytest.raises(QflakeError, match="no methods requested"):
             run_paper_suite(tiny_corpus, seed=5, n_folds=4, methods=())
 
     def test_method_filter_drops_balanced_table(self, tiny_corpus):
@@ -313,15 +308,15 @@ class TestWorkerPool:
                 log.write(f"{tag} {config.family}\n")
             if (tag, config.family) == (0, "rf"):
                 time.sleep(0.5)
-                raise SvdNotConvergedError("task 1 failed")
+                raise PipelineError("task 1 failed")
             if (tag, config.family) == (0, "xgb"):
-                raise SvdNotConvergedError("task 2 failed")
+                raise PipelineError("task 2 failed")
             time.sleep(0.2)
             return real_fit(docs, y, config, seed, tag, *args)
 
         monkeypatch.setattr(eval_mod, "_worker_count", lambda n_tasks: workers)
         monkeypatch.setattr(eval_mod, "fit_pipeline", fitting)
-        with pytest.raises(SvdNotConvergedError, match="^task 1 failed$"):
+        with pytest.raises(PipelineError, match="^task 1 failed$"):
             eval_mod.cross_validate_all(tiny_corpus, configs, n_folds=4, seed=5)
         assert len(started.read_text().splitlines()) < 4 * len(families)
         assert multiprocessing.active_children() == []

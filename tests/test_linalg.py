@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,14 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qflake.errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    NonFiniteMatrixError,
-    RankTooSmallError,
-    SpecInvalidError,
-    SvdNotConvergedError,
-)
+from qflake.errors import PipelineError, QflakeError
 from qflake import linalg
 from qflake.linalg import (
     decode_array,
@@ -79,16 +73,16 @@ class TestPcaFit:
 
     def test_k_bounds(self):
         X = np.random.default_rng(0).normal(size=(5, 3))
-        with pytest.raises(RankTooSmallError):
+        with pytest.raises(PipelineError, match=r"k=5 outside admissible range \[1, 3\]"):
             pca_fit(X, 5)  # ceiling is min(4, 3) = 3
-        with pytest.raises(RankTooSmallError):
+        with pytest.raises(PipelineError, match=r"k=0 outside admissible range \[1, 3\]"):
             pca_fit(X, 0)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(PipelineError, match="PCA needs at least 2 rows, got 1"):
             pca_fit(X[:1], 1)
 
     def test_non_finite_rejected(self):
         X = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(NonFiniteMatrixError):
+        with pytest.raises(PipelineError, match="matrix contains NaN or infinite entries"):
             pca_fit(X, 1)
 
     def test_cv_training_split_ceiling_is_230(self):
@@ -130,7 +124,7 @@ class TestSvdFallback:
     def test_both_orientations_failing_raises_qflake_error(self, monkeypatch):
         svd, _ = failing_svd(2)
         monkeypatch.setattr(linalg.np.linalg, "svd", svd)
-        with pytest.raises(SvdNotConvergedError):
+        with pytest.raises(PipelineError, match="SVD did not converge on the centered 6x4 matrix"):
             pca_fit(np.random.default_rng(1).normal(size=(6, 4)), 2)
 
 
@@ -174,7 +168,7 @@ class TestPcaTransform:
     def test_dimension_mismatch(self):
         X = np.random.default_rng(0).normal(size=(6, 4))
         model = pca_fit(X, 2)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PipelineError, match="matrix has 3 columns, model expects 4"):
             pca_transform(model, X[:, :3])
 
 
@@ -233,7 +227,7 @@ def test_integer_array_codec_roundtrip_is_bit_identical(a):
     assert payload["int64le"] == base64.b64encode(
         struct.pack(f"<{a.size}q", *a.ravel().tolist())
     ).decode("ascii")
-    with pytest.raises(SpecInvalidError):
+    with pytest.raises(QflakeError, match="array float64le must be a base64 string"):
         decode_array(payload, a.ndim)
 
 
@@ -245,32 +239,42 @@ def _payload(values=(1.0, 2.0), shape=None):
     }
 
 
+_BASE64 = "array float64le is not valid base64"
+_SHAPE = "array shape must be a list of non-negative integers, got "
+_NOT_FINITE = "array holds NaN or infinite values"
+# case -> (payload, rank, the message's start, the key to read, if not float64le)
 CODEC_REJECTIONS = {
-    "not-an-object": ([1.0, 2.0], 1),
+    "not-an-object": ([1.0, 2.0], 1, "array must be a JSON object, got list"),
     # 8 zero bytes once the "!" is skipped, as a non-validating decoder would
-    "base64-bad-character": ({"float64le": "AAAA!AAAAAAA=", "shape": [1]}, 1),
-    "base64-bad-padding": ({"float64le": "AAA", "shape": [0]}, 1),
-    "base64-not-ascii": ({"float64le": "\u00e9", "shape": [0]}, 1),
-    "data-not-a-string": ({"float64le": None, "shape": [0]}, 1),
-    "bytes-short": (_payload(shape=[3]), 1),
-    "bytes-long": (_payload(shape=[1]), 1),
-    "shape-negative": (_payload(shape=[-2]), 1),
-    "shape-not-integer": (_payload(shape=[2.0]), 1),
-    "shape-bool": (_payload(values=(1.0,), shape=[True]), 1),
-    "shape-not-a-list": (_payload(shape=2), 1),
-    "shape-missing": ({"float64le": ""}, 1),
-    "rank-too-low": (_payload(), 2),
-    "rank-too-high": (_payload(shape=[1, 2]), 1),
-    "zero-size-too-large": (_payload(values=(), shape=[0, 2**70]), 2),
-    "nan": (_payload(values=(1.0, float("nan"))), 1),
-    "inf": (_payload(values=(float("inf"), 1.0)), 1),
-    "minus-inf": (_payload(values=(1.0, float("-inf"))), 1),
-    "float-bytes-read-as-integers": (_payload(), 1, "int64le"),
+    "base64-bad-character": ({"float64le": "AAAA!AAAAAAA=", "shape": [1]}, 1, _BASE64),
+    "base64-bad-padding": ({"float64le": "AAA", "shape": [0]}, 1, _BASE64),
+    "base64-not-ascii": ({"float64le": "\u00e9", "shape": [0]}, 1, _BASE64),
+    "data-not-a-string": (
+        {"float64le": None, "shape": [0]}, 1, "array float64le must be a base64 string"
+    ),
+    "bytes-short": (_payload(shape=[3]), 1, "array of shape [3] needs 24 bytes, got 16"),
+    "bytes-long": (_payload(shape=[1]), 1, "array of shape [1] needs 8 bytes, got 16"),
+    "shape-negative": (_payload(shape=[-2]), 1, _SHAPE + "[-2]"),
+    "shape-not-integer": (_payload(shape=[2.0]), 1, _SHAPE + "[2.0]"),
+    "shape-bool": (_payload(values=(1.0,), shape=[True]), 1, _SHAPE + "[True]"),
+    "shape-not-a-list": (_payload(shape=2), 1, _SHAPE + "2"),
+    "shape-missing": ({"float64le": ""}, 1, _SHAPE + "None"),
+    "rank-too-low": (_payload(), 2, "array shape [2] is not of rank 2"),
+    "rank-too-high": (_payload(shape=[1, 2]), 1, "array shape [1, 2] is not of rank 1"),
+    "zero-size-too-large": (
+        _payload(values=(), shape=[0, 2**70]), 2, f"array shape [0, {2**70}]: "
+    ),
+    "nan": (_payload(values=(1.0, float("nan"))), 1, _NOT_FINITE),
+    "inf": (_payload(values=(float("inf"), 1.0)), 1, _NOT_FINITE),
+    "minus-inf": (_payload(values=(1.0, float("-inf"))), 1, _NOT_FINITE),
+    "float-bytes-read-as-integers": (
+        _payload(), 1, "array int64le must be a base64 string", "int64le"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(CODEC_REJECTIONS))
 def test_array_decoder_rejects_malformed_payload(case):
-    payload, ndim, *key = CODEC_REJECTIONS[case]
-    with pytest.raises(SpecInvalidError):
+    payload, ndim, message, *key = CODEC_REJECTIONS[case]
+    with pytest.raises(QflakeError, match=f"^{re.escape(message)}"):
         decode_array(payload, ndim, *key)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qflake.classifiers import sigmoid, train_knn, train_svm
-from qflake.errors import KTooLargeError, SingleClassError, SpecInvalidError
+from qflake.errors import PipelineError, QflakeError
 
 from test_trees import separable_set
 
@@ -41,7 +41,7 @@ class TestKnn:
         X[1, 0] = 1.0
         X[2, 1] = 1.0
         y = np.array([1, 0, 1])
-        with pytest.raises(KTooLargeError):
+        with pytest.raises(PipelineError, match="n_neighbors=4 exceeds the 3 training rows"):
             train_knn(X, y, {"n_neighbors": 4})
 
     def test_separable_train_accuracy(self):
@@ -94,7 +94,7 @@ class TestLinearSvm:
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
-        with pytest.raises(SingleClassError):
+        with pytest.raises(PipelineError, match="SVM training needs both classes present"):
             train_svm(X, np.ones(10, dtype=int), {"C": 0.01}, seed=0)
 
     def test_determinism(self):
@@ -105,7 +105,7 @@ class TestLinearSvm:
 
     def test_c_must_be_positive(self):
         X, y = separable_set(seed=15, n=20)
-        with pytest.raises(SpecInvalidError):
+        with pytest.raises(QflakeError, match="svm: invalid value for 'C': 0.0"):
             train_svm(X, y, {"C": 0.0}, seed=0)
 
     def test_scores_in_unit_interval(self):

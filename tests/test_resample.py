@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qflake.errors import MinorityTooSmallError, SpecInvalidError
+from qflake.errors import PipelineError, QflakeError
 from qflake.resample import smote_resample
 
 
@@ -113,11 +113,11 @@ class TestSmote:
     def test_minority_too_small(self):
         X = np.zeros((4, 2))
         y = np.array([1, 0, 0, 0])
-        with pytest.raises(MinorityTooSmallError):
+        with pytest.raises(PipelineError, match=r"minority class has 1 sample\(s\)"):
             smote_resample(X, y)
 
     def test_bad_k(self):
         X = np.zeros((4, 2))
         y = np.array([1, 1, 0, 0])
-        with pytest.raises(SpecInvalidError):
+        with pytest.raises(QflakeError, match="k_neighbors must be at least 1"):
             smote_resample(X, y, k_neighbors=0)

@@ -9,7 +9,6 @@ from qflake.classifiers import (
     RandomForestModel,
     forest,
     get_profile,
-    impurity,
     model_from_dict,
     train_decision_tree,
     train_model,
@@ -21,9 +20,10 @@ from qflake.classifiers.tree import (
     FlatTrees,
     NodeArrays,
     SplitSearch,
+    _impurity_from_fraction,
 )
 from qflake.corpus import Label, stratified_folds
-from qflake.errors import EmptySetError, SpecInvalidError
+from qflake.errors import QflakeError
 from qflake.resample import smote_resample
 from qflake.text import fit_vocabulary, tokenize, transform
 
@@ -100,28 +100,31 @@ def make_columns(kinds, n, rng):
 
 
 class TestImpurity:
+    """Impurity of a node from its flaky fraction, as the split search
+    computes it."""
+
     def test_uniform_two_class_entropy(self):
-        assert impurity([1, 1, 0, 0], "entropy") == pytest.approx(1.0)
+        assert _impurity_from_fraction([0.5], "entropy")[0] == pytest.approx(1.0)
 
     def test_pure_set_zero(self):
-        assert impurity([1, 1, 1, 1], "entropy") == 0.0
-        assert impurity([1, 1, 1, 1], "gini") == 0.0
+        assert _impurity_from_fraction([1.0], "entropy")[0] == 0.0
+        assert _impurity_from_fraction([1.0], "gini")[0] == 0.0
 
     def test_three_to_one_entropy(self):
         # -(0.75*log2(0.75) + 0.25*log2(0.25))
-        assert impurity([1, 1, 1, 0], "entropy") == pytest.approx(0.811278, abs=1e-6)
+        assert _impurity_from_fraction([0.75], "entropy")[0] == pytest.approx(
+            0.811278, abs=1e-6
+        )
 
     def test_gini_values(self):
-        assert impurity([1, 0], "gini") == pytest.approx(0.5)
-        assert impurity([1, 1, 1, 0], "gini") == pytest.approx(0.375)
-
-    def test_empty_set(self):
-        with pytest.raises(EmptySetError):
-            impurity([], "entropy")
+        assert _impurity_from_fraction([0.5], "gini")[0] == pytest.approx(0.5)
+        assert _impurity_from_fraction([0.75], "gini")[0] == pytest.approx(0.375)
 
     def test_bad_criterion(self):
-        with pytest.raises(SpecInvalidError):
-            impurity([1, 0], "variance")
+        with pytest.raises(QflakeError, match="dt: invalid value for 'criterion': 'variance'"):
+            train_decision_tree(
+                np.array([[0.0], [1.0]]), np.array([0, 1]), {"criterion": "variance"}
+            )
 
 
 class TestDecisionTree:
@@ -200,7 +203,7 @@ class TestDecisionTree:
     def test_unknown_hyperparameter_rejected(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        with pytest.raises(SpecInvalidError):
+        with pytest.raises(QflakeError, match=r"dt: unknown hyperparameter\(s\) \['depth'\]"):
             train_decision_tree(X, y, {"depth": 3})
 
     def test_scores_in_unit_interval(self):

@@ -181,8 +181,16 @@ class ModelBundle:
     # ------------------------------------------------------------- scoring
 
     def score_texts(self, texts) -> np.ndarray:
+        """Flaky-class scores. Stored numbers are finite, but a tampered
+        bundle's can still overflow here, and that is bad input."""
         profile = get_tokenizer_profile(self.tokenizer)
-        return self.pipeline.score([tokenize(t, profile) for t in texts])
+        with np.errstate(all="ignore"):
+            scores = self.pipeline.score([tokenize(t, profile) for t in texts])
+        if not np.isfinite(scores).all():
+            raise QflakeError(
+                "model bundle gives NaN or infinite scores: its stored numbers overflow"
+            )
+        return scores
 
     def predict_texts(self, texts):
         scores = self.score_texts(texts)

@@ -1,13 +1,16 @@
 """The qflake command line: ingest, train, predict, evaluate, experiment.
 
-Configuration precedence is CLI flags > --config JSON file > builtin
-defaults, and the effective configuration is echoed into every run's
-outputs. Exit codes: 0 success, 2 bad input, 3 a failed run. The type of
-the error decides, in ``main`` alone: a ``PipelineError`` (valid input
-that a stage could not fit or score) prints ``<command> failed: <msg>``
-and exits 3; any other ``QflakeError`` (bad manifest, file, bundle,
-setting or hyperparameter) prints ``error: <msg>`` and exits 2. Every
-JSON file is read and written through ``jsonio``.
+Each command takes only the options it reads. Every setting is declared
+once, in ``_FILE_KEYS``: its JSON type, admitted values, default and
+help. ``main`` resolves the settings a command takes before it runs: a
+command-line value wins over the ``--config`` JSON file's, which wins
+over the default; the effective configuration is echoed into every
+run's outputs. Exit codes: 0 success, 2 bad input, 3 a failed run. The
+type of the error decides, in ``main`` alone: a ``PipelineError`` (valid
+input that a stage could not fit or score) prints ``<command> failed:
+<msg>`` and exits 3; any other ``QflakeError`` (bad usage, manifest,
+file, bundle, setting or hyperparameter) prints ``error: <msg>`` and
+exits 2. Every JSON file is read and written through ``jsonio``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import hashlib
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .bundle import ModelBundle, train_bundle
 from .classifiers import FAMILIES, PROFILE_NAMES, get_profile
@@ -27,6 +31,7 @@ from .corpus import (
     SubsetMode,
     load_manifest,
     parse_manifest,
+    read_source,
     scan_tree,
     select_subset,
     write_manifest,
@@ -41,24 +46,34 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_DATASETS = tuple(m.value for m in SubsetMode)
 
-# --config file keys: (type, admitted values or None). A list value must
-# hold admitted values only. Every value is checked before any is used.
+class _Setting(NamedTuple):
+    kind: type | tuple  # its JSON type in a --config file
+    choices: tuple | None  # admitted values; a list must hold these only
+    default: object
+    help: str | None = None
+
+
+# Every setting a command reads, by --config key; its option is
+# --<key with dashes>, and ``hyperparameters`` has none.
 _FILE_KEYS = {
-    "seed": (int, None),
-    "folds": (int, None),
-    "pca": ((int, str), None),
-    "profile": (str, PROFILE_NAMES),
-    "tokenizer": (str, tuple(sorted(TOKENIZER_PROFILES))),
-    "dataset": (str, _DATASETS),
-    "methods": (list, METHODS),
-    "models": (list, FAMILIES),
-    "hyperparameters": (dict, None),
-    "smote": (bool, None),
-    "tune_threshold": (bool, None),
-    "replicate_paper_vectorization": (bool, None),
-    "replicate_paper_threshold": (bool, None),
+    "seed": _Setting(int, None, 0, "RNG seed (u64)"),
+    "folds": _Setting(int, None, 5),
+    "pca": _Setting((int, str), None, None, "component count, or 'none'"),
+    "profile": _Setting(str, PROFILE_NAMES, None),
+    "tokenizer": _Setting(str, tuple(sorted(TOKENIZER_PROFILES)), "default"),
+    "dataset": _Setting(str, tuple(m.value for m in SubsetMode), "all"),
+    "methods": _Setting(list, METHODS, METHODS),
+    "models": _Setting(list, FAMILIES, FAMILIES),
+    "hyperparameters": _Setting(dict, None, {}),
+    "smote": _Setting(bool, None, False),
+    "tune_threshold": _Setting(bool, None, False),
+    "replicate_paper_vectorization": _Setting(
+        bool, None, False, "fit the vocabulary on all folds, as the reference protocol did"
+    ),
+    "replicate_paper_threshold": _Setting(
+        bool, None, False, "tune thresholds on the evaluation fold, as the reference protocol did"
+    ),
 }
 _TYPE_NAMES = {
     int: "an integer",
@@ -68,26 +83,35 @@ _TYPE_NAMES = {
     dict: "a JSON object",
     bool: "true or false",
 }
+_PIPELINE = ("profile", "smote", "pca", "tune_threshold", "tokenizer", "hyperparameters")
+_REPLICATE = ("replicate_paper_vectorization", "replicate_paper_threshold")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
-    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    parser.add_argument(
-        "--replicate-paper-vectorization",
-        action="store_true",
-        default=None,
-        help="fit the vocabulary on the whole dataset instead of the "
-        "training folds (matches the reference protocol; leaks eval tokens)",
-    )
-    parser.add_argument(
-        "--replicate-paper-threshold",
-        action="store_true",
-        default=None,
-        help="tune decision thresholds on the evaluation fold instead of an "
-        "inner training split (matches the reference protocol)",
-    )
-    parser.add_argument("--out", type=Path, default=None, help="output path")
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises, so ``main`` reports it in one line (exit 2);
+    subparsers are made of this class too."""
+
+    def error(self, message):
+        raise QflakeError(message)
+
+
+def _add_settings(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """The options of settings ``keys``, then ``--config``, which can give
+    any of them. A setting no option gives is still resolved, from the
+    file or its default."""
+    for key in keys:
+        kind, choices, _, text = _FILE_KEYS[key]
+        flag = "--" + key.replace("_", "-")
+        if kind is dict:
+            parser.set_defaults(**{key: None})
+        elif kind is bool:
+            parser.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(
+                flag, type=int if kind is int else None, nargs="+" if kind is list else None,
+                choices=choices, default=None, help=text,
+            )
+    parser.add_argument("--config", type=Path, help="JSON file of settings")
 
 
 @functools.cache
@@ -95,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The qflake argument parser, built once per process: parsing keeps
     no state in it, and ``main`` is called many times by in-process
     callers."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qflake",
         description="Detect flaky tests in quantum-software repositories "
         "with bag-of-words classifiers.",
@@ -103,45 +127,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="scan a corpus tree or validate a manifest")
-    p.add_argument("--root", type=Path, help="directory with flaky/ and nonflaky/ subtrees")
-    p.add_argument("--manifest", type=Path, help="existing manifest to validate")
-    _add_common(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--root", type=Path, help="directory with flaky/ and nonflaky/ subtrees")
+    source.add_argument("--manifest", type=Path, help="existing manifest to validate")
+    p.add_argument("--out", type=Path, help="manifest to write")
 
     p = sub.add_parser("train", help="train on the full corpus and save a bundle")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--profile", default=None, help="paper_vanilla | paper_smote")
-    p.add_argument("--smote", action="store_true", default=None)
-    p.add_argument("--pca", default=None, help="component count, or 'none'")
-    p.add_argument("--tune-threshold", action="store_true", default=None)
-    p.add_argument("--tokenizer", choices=sorted(TOKENIZER_PROFILES), default=None)
-    _add_common(p)
+    _add_settings(p, *_PIPELINE, "seed")
+    p.add_argument("--out", type=Path, required=True, help="bundle to write")
 
     p = sub.add_parser("predict", help="score files with a saved bundle")
     p.add_argument("--bundle", type=Path, required=True)
     p.add_argument("files", nargs="+", type=Path)
-    _add_common(p)
+    p.add_argument("--out", type=Path, help="JSON Lines file to write (default stdout)")
 
     p = sub.add_parser("evaluate", help="cross-validate one pipeline configuration")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--profile", default=None)
-    p.add_argument("--smote", action="store_true", default=None)
-    p.add_argument("--pca", default=None)
-    p.add_argument("--tune-threshold", action="store_true", default=None)
-    p.add_argument("--tokenizer", choices=sorted(TOKENIZER_PROFILES), default=None)
-    p.add_argument("--dataset", choices=_DATASETS, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    _add_common(p)
+    _add_settings(p, *_PIPELINE, "dataset", "folds", "seed", *_REPLICATE)
+    p.add_argument("--out", type=Path, help="directory to write the report into")
 
     p = sub.add_parser("experiment", help="run the full result-table suite")
     p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--suite", choices=("paper",), default="paper")
-    p.add_argument("--methods", nargs="+", choices=METHODS, default=None)
-    p.add_argument("--models", nargs="+", choices=FAMILIES, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--tokenizer", choices=sorted(TOKENIZER_PROFILES), default=None)
-    _add_common(p)
+    _add_settings(p, "methods", "models", "folds", "tokenizer", "seed", *_REPLICATE)
+    p.add_argument("--out", type=Path, help="directory of run directories (default results/)")
 
     return parser
 
@@ -157,10 +169,14 @@ def _load_config_file(path: Path | None) -> dict:
         raise QflakeError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise QflakeError(f"config file {path} must hold a JSON object")
-    for key, (kind, choices) in _FILE_KEYS.items():
-        if key not in loaded:
-            continue
-        value = loaded[key]
+    unknown = [key for key in loaded if key not in _FILE_KEYS]
+    if unknown:
+        raise QflakeError(
+            f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(_FILE_KEYS)}"
+        )
+    for key, value in loaded.items():
+        kind, choices, _, _ = _FILE_KEYS[key]
         # bool is an int subclass; JSON true is no seed or fold count
         ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
         if ok and choices is not None:
@@ -171,67 +187,61 @@ def _load_config_file(path: Path | None) -> dict:
     return loaded
 
 
-def _effective(args, file_config: dict, key: str, default):
-    """CLI flag > config file > default."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in file_config:
-        return file_config[key]
-    return default
+def _resolve_settings(args) -> None:
+    """Write into ``args`` each setting the command takes: its
+    command-line value, else its --config value, else its default. A
+    --config key of another command is accepted and not read."""
+    file_config = _load_config_file(getattr(args, "config", None))
+    for key, setting in _FILE_KEYS.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, file_config.get(key, setting.default))
+    if getattr(args, "seed", 0) < 0:
+        raise QflakeError("--seed must be non-negative")
 
 
-def _parse_pca(value):
+def _pca_components(value, default):
+    """The --pca value: a component count, 'none' for no PCA, or unset
+    (None) for the profile's ``default``."""
     if value is None:
-        return None, False
+        return default
     if isinstance(value, str) and value.lower() == "none":
-        return None, True
+        return None
     try:
-        return int(value), True
+        return int(value)
     except (TypeError, ValueError):
         raise QflakeError(f"--pca expects an integer or 'none', got {value!r}") from None
 
 
-def _pipeline_from_args(args, file_config: dict) -> tuple[PipelineConfig, dict]:
-    family = args.family
-    profile_name = _effective(args, file_config, "profile", None)
-    smote = bool(_effective(args, file_config, "smote", False))
-    tuned = bool(_effective(args, file_config, "tune_threshold", False))
-    tokenizer = _effective(args, file_config, "tokenizer", "default")
-    fit_all = bool(_effective(args, file_config, "replicate_paper_vectorization", False))
-    tune_eval = bool(_effective(args, file_config, "replicate_paper_threshold", False))
-
-    if profile_name is None:
-        profile_name = "paper_smote" if smote else "paper_vanilla"
-    builtin = get_profile(family, profile_name)
-    hyper = dict(builtin.hyperparameters)
-    hyper.update(file_config.get("hyperparameters", {}))
-    pca_components = builtin.pca_components
-    pca_value, pca_given = _parse_pca(_effective(args, file_config, "pca", None))
-    if pca_given:
-        pca_components = pca_value
-
+def _pipeline_from_args(args) -> tuple[PipelineConfig, dict]:
+    """The pipeline train or evaluate fits, and its echo. Only evaluate
+    takes the --replicate-paper-* switches: a bundle is fitted on the
+    whole corpus, with no evaluation fold."""
+    replicate = {key: getattr(args, key) for key in _REPLICATE if hasattr(args, key)}
+    builtin = get_profile(
+        args.family, args.profile or ("paper_smote" if args.smote else "paper_vanilla")
+    )
+    hyper = {**builtin.hyperparameters, **args.hyperparameters}
+    pca_components = _pca_components(args.pca, builtin.pca_components)
     config = PipelineConfig(
-        family=family,
+        family=args.family,
         hyperparameters=hyper,
         pca_components=pca_components,
-        smote=smote,
-        tune_threshold=tuned,
-        tokenizer=tokenizer,
-        fit_vocab_on_all=fit_all,
-        tune_on_eval_fold=tune_eval,
+        smote=args.smote,
+        tune_threshold=args.tune_threshold,
+        tokenizer=args.tokenizer,
+        fit_vocab_on_all=replicate.get("replicate_paper_vectorization", False),
+        tune_on_eval_fold=replicate.get("replicate_paper_threshold", False),
         profile_name=builtin.name,
     )
     echo = {
-        "family": family,
+        "family": args.family,
         "profile": builtin.name,
         "hyperparameters": hyper,
         "pca_components": pca_components,
-        "smote": smote,
-        "threshold_mode": "tuned" if tuned else "fixed",
-        "tokenizer": tokenizer,
-        "replicate_paper_vectorization": fit_all,
-        "replicate_paper_threshold": tune_eval,
+        "smote": args.smote,
+        "threshold_mode": "tuned" if args.tune_threshold else "fixed",
+        "tokenizer": args.tokenizer,
+        **replicate,
     }
     return config, echo
 
@@ -256,10 +266,7 @@ def _fmt_float(x) -> str:
     return repr(float(x))
 
 
-def cmd_ingest(args, file_config: dict) -> int:
-    if (args.root is None) == (args.manifest is None):
-        print("ingest: provide exactly one of --root or --manifest", file=sys.stderr)
-        return EXIT_VALIDATION
+def cmd_ingest(args) -> int:
     if args.out is not None:
         _prepare_out(args.out, directory=False)
     if args.root is not None:
@@ -303,34 +310,21 @@ def cmd_ingest(args, file_config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, file_config: dict) -> int:
-    config, echo = _pipeline_from_args(args, file_config)
-    seed = int(_effective(args, file_config, "seed", 0))
-    if args.out is None:
-        raise QflakeError("train: --out BUNDLE_PATH is required")
+def cmd_train(args) -> int:
+    config, echo = _pipeline_from_args(args)
     _prepare_out(args.out, directory=False)
-    bundle = train_bundle(load_manifest(args.manifest), config, seed=seed)
+    bundle = train_bundle(load_manifest(args.manifest), config, seed=args.seed)
     bundle.metadata["effective_config"] = echo
     bundle.save(args.out)
     print(f"bundle written: {args.out} (threshold {_fmt_float(bundle.threshold)})")
     return EXIT_OK
 
 
-def cmd_predict(args, file_config: dict) -> int:
+def cmd_predict(args) -> int:
     if args.out is not None:
         _prepare_out(args.out, directory=False)
     bundle = ModelBundle.load(args.bundle)
-    texts = []
-    for path in args.files:
-        if not path.exists():
-            print(f"predict: no such file {path}", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
-            texts.append(path.read_bytes().decode("utf-8"))
-        except UnicodeDecodeError:
-            print(f"predict: {path} is not valid UTF-8", file=sys.stderr)
-            return EXIT_VALIDATION
-    scores, labels = bundle.predict_texts(texts)
+    scores, labels = bundle.predict_texts([read_source(path) for path in args.files])
     lines = [
         dumps({"path": str(p), "score": float(s), "label": l}, sort_keys=True)
         for p, s, l in zip(args.files, scores, labels)
@@ -362,21 +356,18 @@ def _report_csv(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_evaluate(args, file_config: dict) -> int:
-    config, echo = _pipeline_from_args(args, file_config)
-    seed = int(_effective(args, file_config, "seed", 0))
-    n_folds = int(_effective(args, file_config, "folds", 5))
-    dataset = _effective(args, file_config, "dataset", "all")
+def cmd_evaluate(args) -> int:
+    config, echo = _pipeline_from_args(args)
     if args.out is not None:
         _prepare_out(args.out, directory=True)
     corpus = load_manifest(args.manifest)
-    data = select_subset(corpus, SubsetMode(dataset), seed)
-    result = cross_validate(data, config, n_folds=n_folds, seed=seed)
+    data = select_subset(corpus, SubsetMode(args.dataset), args.seed)
+    result = cross_validate(data, config, n_folds=args.folds, seed=args.seed)
     report = {
         "config": echo,
-        "seed": seed,
-        "n_folds": n_folds,
-        "dataset": dataset,
+        "seed": args.seed,
+        "n_folds": args.folds,
+        "dataset": args.dataset,
         "corpus_hash": corpus.content_hash(),
         "aggregate": {"mean": result.aggregate.mean, "std": result.aggregate.std},
         "folds": [
@@ -406,25 +397,17 @@ def cmd_evaluate(args, file_config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args, file_config: dict) -> int:
-    seed = int(_effective(args, file_config, "seed", 0))
-    n_folds = int(_effective(args, file_config, "folds", 5))
-    tokenizer = _effective(args, file_config, "tokenizer", "default")
-    fit_all = bool(_effective(args, file_config, "replicate_paper_vectorization", False))
-    tune_eval = bool(_effective(args, file_config, "replicate_paper_threshold", False))
-    methods = tuple(_effective(args, file_config, "methods", list(METHODS)))
-    families = tuple(_effective(args, file_config, "models", list(FAMILIES)))
+def cmd_experiment(args) -> int:
     corpus = load_manifest(args.manifest)
-
     run_config = {
         "suite": args.suite,
-        "seed": seed,
-        "n_folds": n_folds,
-        "tokenizer": tokenizer,
-        "replicate_paper_vectorization": fit_all,
-        "replicate_paper_threshold": tune_eval,
-        "methods": list(methods),
-        "models": list(families),
+        "seed": args.seed,
+        "n_folds": args.folds,
+        "tokenizer": args.tokenizer,
+        "replicate_paper_vectorization": args.replicate_paper_vectorization,
+        "replicate_paper_threshold": args.replicate_paper_threshold,
+        "methods": list(args.methods),
+        "models": list(args.models),
         "corpus_hash": corpus.content_hash(),
     }
     run_id = hashlib.sha256(
@@ -435,13 +418,13 @@ def cmd_experiment(args, file_config: dict) -> int:
 
     tables = run_paper_suite(
         corpus,
-        seed=seed,
-        families=families,
-        methods=methods,
-        n_folds=n_folds,
-        tokenizer=tokenizer,
-        fit_vocab_on_all=fit_all,
-        tune_on_eval_fold=tune_eval,
+        seed=args.seed,
+        families=tuple(args.models),
+        methods=tuple(args.methods),
+        n_folds=args.folds,
+        tokenizer=args.tokenizer,
+        fit_vocab_on_all=args.replicate_paper_vectorization,
+        tune_on_eval_fold=args.replicate_paper_threshold,
     )
     run_config["run_id"] = run_id
     write_results(tables, out_dir, run_config)
@@ -459,14 +442,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        file_config = _load_config_file(args.config)
-        seed = _effective(args, file_config, "seed", 0)
-        if int(seed) < 0:
-            raise QflakeError("--seed must be non-negative")
-        return _COMMANDS[args.command](args, file_config)
+        args = build_parser().parse_args(argv)
+        _resolve_settings(args)
+        return _COMMANDS[args.command](args)
     except PipelineError as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

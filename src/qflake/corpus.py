@@ -98,8 +98,9 @@ class FoldAssignment:
     assignment: dict[str, int] = field(compare=True)
 
 
-def _decode(path: Path) -> str:
-    """A file's UTF-8 text; unreadable or undecodable files raise."""
+def read_source(path: Path) -> str:
+    """A file's UTF-8 text, for a manifest, a corpus entry or a file to
+    score; an unreadable or undecodable file raises ``QflakeError``."""
     try:
         data = path.read_bytes()
     except (OSError, ValueError) as exc:
@@ -133,7 +134,7 @@ def _parse_record(line: str, base: Path, seen_ids: set) -> CorpusEntry:
     if not isinstance(record["path"], str):
         raise QflakeError(f"path must be a string, got {record['path']!r}")
     file_path = base / record["path"]
-    text = _decode(file_path)
+    text = read_source(file_path)
     if not text:
         raise QflakeError(f"{file_path}: file is empty")
     return CorpusEntry(
@@ -155,7 +156,7 @@ def parse_manifest(manifest_path):
     """
     manifest_path = Path(manifest_path)
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(_decode(manifest_path).splitlines(), start=1):
+    for lineno, line in enumerate(read_source(manifest_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

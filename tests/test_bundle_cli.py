@@ -11,6 +11,7 @@ from qflake.bundle import FORMAT_VERSION, ModelBundle, train_bundle
 from qflake.classifiers.tree import FlatTrees
 from qflake.corpus import Corpus, Label
 from qflake.eval import PipelineConfig
+from qflake.synthetic import generate_corpus
 
 from recursive_predict import node_to_dict
 
@@ -357,6 +358,11 @@ def _nan_first(a):
     return a
 
 
+def _huge_first_row(a):
+    a[0] = 1e308
+    return a
+
+
 def _to_format_1(data):
     """A format-2 knn bundle as format 1 wrote it: float arrays as nested lists."""
     data["format_version"] = 1
@@ -456,6 +462,41 @@ def _configured(tmp_path, payload):
         "experiment": ["--manifest", manifest, "--folds", 2, "--out", tmp_path / "out"],
     }[command]
     return [command, *args, "--config", cfg]
+
+
+def _argv(tmp_path, argv):
+    """``argv`` as it is: the parser refuses it before any file is read."""
+    return argv
+
+
+def _plus(tmp_path, payload):
+    """A command line ``build`` makes, which exits 0, plus ``extra``."""
+    build, build_payload, extra = payload
+    return [*build(tmp_path, build_payload), *extra]
+
+
+def _unchanged(data):
+    pass
+
+
+def _predict_directory(tmp_path, _):
+    """``predict`` of a trained bundle, given a directory for a file."""
+    argv = _edited_bundle(tmp_path, ("dt", _unchanged))
+    return [*argv, tmp_path]
+
+
+def _overflowing_bundle(tmp_path, family):
+    """A ``family`` bundle, trained on the 8:16 corpus of generator seed 1,
+    whose first PCA component row is 1e308: finite numbers whose scores
+    overflow to NaN."""
+    manifest = generate_corpus(tmp_path / "corpus", n_flaky=8, n_nonflaky=16, seed=1)
+    bundle = tmp_path / "bundle.json"
+    assert cli.main(["train", "--manifest", str(manifest), "--family", family,
+                     "--seed", "1", "--out", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    _edit_array(data["pca"], "components", _huge_first_row)
+    bundle.write_text(json.dumps(data))
+    return ["predict", "--bundle", bundle, *sorted((tmp_path / "corpus").rglob("*.py"))[:3]]
 
 
 def _validated_with(tmp_path, line):
@@ -627,7 +668,8 @@ MALFORMED_INPUTS = {
     "experiment-empty-manifest": (_experiment_on, []),
     "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
     "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),
-    "config-seed-not-integer": (_configured, ("ingest", {"seed": "abc"})),
+    "config-seed-not-integer": (_configured, ("train", {"seed": "abc"})),
+    "config-key-unknown": (_configured, ("evaluate", {"seeed": 5, "fold": 3})),
     "config-folds-not-integer": (_configured, ("experiment", {"folds": "x"})),
     "config-tokenizer-unknown": (_configured, ("train", {"tokenizer": "bogus"})),
     "config-dataset-unknown": (_configured, ("evaluate", {"dataset": "bogus"})),
@@ -652,6 +694,18 @@ MALFORMED_INPUTS = {
     "evaluate-out-is-file": (_out_is_file, "evaluate"),
     "experiment-out-is-file": (_out_is_file, "experiment"),
     "experiment-run-directory-is-file": (_run_dir_is_file, None),
+    "argv-family-unknown": (
+        _argv, ["train", "--manifest", "m.jsonl", "--family", "bogus", "--out", "b.json"]
+    ),
+    "argv-no-command": (_argv, []),
+    "ingest-root-and-manifest": (_argv, ["ingest", "--root", ".", "--manifest", "m.jsonl"]),
+    # each command takes only the options it reads
+    "predict-seed-flag": (_plus, (_edited_bundle, ("dt", _unchanged), ["--seed", 3])),
+    "ingest-config-flag": (_configured, ("ingest", {})),
+    "train-replicate-flag": (_plus, (_configured, ("train", {}), ["--replicate-paper-threshold"])),
+    "predict-file-is-directory": (_predict_directory, None),
+    "bundle-svm-pca-overflow": (_overflowing_bundle, "svm"),
+    "bundle-knn-pca-overflow": (_overflowing_bundle, "knn"),
 }
 
 
@@ -688,6 +742,16 @@ MALFORMED_MESSAGES = {
     "config-hyperparameter-infinity": "is not valid JSON: Infinity is not a JSON number",
     "config-hyperparameter-overflow": "xgb: invalid value for 'learning_rate': inf",
     "config-nested-too-deep": "is not valid JSON: maximum recursion depth exceeded",
+    "config-key-unknown": "cfg.json: unknown key(s) 'seeed', 'fold'; known keys: seed, folds,",
+    "argv-family-unknown": "error: argument --family: invalid choice: 'bogus'",
+    "argv-no-command": "error: the following arguments are required: command",
+    "ingest-root-and-manifest": "error: argument --manifest: not allowed with argument --root",
+    "predict-seed-flag": "error: unrecognized arguments: --seed 3",
+    "ingest-config-flag": "error: unrecognized arguments: --config",
+    "train-replicate-flag": "error: unrecognized arguments: --replicate-paper-threshold",
+    "predict-file-is-directory": ": Is a directory",
+    "bundle-svm-pca-overflow": "model bundle gives NaN or infinite scores: its stored numbers overflow",
+    "bundle-knn-pca-overflow": "model bundle gives NaN or infinite scores: its stored numbers overflow",
 }
 
 
@@ -734,6 +798,52 @@ def test_config_file_error_names_the_key(tmp_path):
     proc = run_cli(*_configured(tmp_path, ("experiment", {"models": "dt"})))
     assert proc.returncode == 2
     assert "'models' must be a list" in proc.stderr, proc.stderr
+
+
+def test_config_key_of_another_command_is_accepted(tiny_manifest, tmp_path):
+    """One --config file can serve several commands: train ignores the
+    keys only evaluate and experiment read."""
+    bundles = {"plain": tmp_path / "plain.json", "configured": tmp_path / "configured.json"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"folds": 3, "dataset": "balanced", "methods": ["smote"],
+                               "replicate_paper_threshold": True}))
+    train = ["train", "--manifest", str(tiny_manifest), "--family", "dt", "--seed", "3"]
+    assert cli.main([*train, "--out", str(bundles["plain"])]) == 0
+    assert cli.main([*train, "--config", str(cfg), "--out", str(bundles["configured"])]) == 0
+    assert bundles["plain"].read_bytes() == bundles["configured"].read_bytes()
+
+
+# The options of each command: exactly the settings it reads.
+COMMAND_OPTIONS = {
+    "ingest": ["--root", "--manifest", "--out"],
+    "train": ["--manifest", "--family", "--profile", "--smote", "--pca", "--tune-threshold",
+              "--tokenizer", "--seed", "--config", "--out"],
+    "predict": ["--bundle", "files", "--out"],
+    "evaluate": ["--manifest", "--family", "--profile", "--smote", "--pca", "--tune-threshold",
+                 "--tokenizer", "--dataset", "--folds", "--seed",
+                 "--replicate-paper-vectorization", "--replicate-paper-threshold", "--config",
+                 "--out"],
+    "experiment": ["--manifest", "--suite", "--methods", "--models", "--folds", "--tokenizer",
+                   "--seed", "--replicate-paper-vectorization", "--replicate-paper-threshold",
+                   "--config", "--out"],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert list(commands.choices) == list(COMMAND_OPTIONS)
+    for command, parser in commands.choices.items():
+        options = [a.option_strings[0] if a.option_strings else a.dest
+                   for a in parser._actions if a.dest != "help"]
+        assert options == COMMAND_OPTIONS[command], command
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: qflake {command}")
 
 
 def _svd_never_converges(tmp_path, manifest, monkeypatch):

@@ -16,27 +16,37 @@ section 3.4; histogram layout after LightGBM, Ke et al., NeurIPS 2017):
 - Bins are exact. Each column's bins are its sorted distinct values, with
   0 always among them, laid out feature-major in one global bin axis.
   They are built once per fit, since X does not change between rounds.
-- Only nonzero cells are histogrammed. A node's G, H and row-count
-  histograms are ``bincount``s over its nonzero cells; each column's zero
-  bin is the node total minus that column's nonzero bins. One prefix sum
-  per quantity gives every left sum, negative values included: they sort
-  before the zero bin like any other value.
-- A candidate split lies between two consecutive bins present at the
-  node, and its threshold is the midpoint of their values. A bin with no
-  row at the node is no candidate, so thresholds depend only on the
-  node's own rows.
+  Byte-identical columns are binned once, as their first copy, which then
+  names every split on them.
+- Only nonzero cells are histogrammed, each node on its own compact axis:
+  the bins present among its nonzero cells, so only its live columns
+  (those with a nonzero cell at the node) take part. G and H, packed as
+  one complex number per row, take one ``bincount`` and one prefix sum.
+- A candidate split lies between two consecutive bins present at the node
+  in one column, the zero bin present when some row of the node is 0
+  there; its threshold is the midpoint of their values. A bin with no row
+  at the node is no candidate, so thresholds depend only on the node's own
+  rows. Negative values sort before the zero bin like any other value.
+- The side of a candidate without the zero bin is a run of compact bins:
+  its sums are a difference of two prefix sums, and the other side is the
+  node total minus them. The gain is symmetric in the two sides.
 - Ties: splits into the same two row sets can differ in the last ulp, as
   each column sums its bins in its own order, so gains within
   1e-9*max(1,|best|) of the best tie. The first tie on the feature-major
   axis wins: lowest feature, then lowest threshold.
-- What a node's row set alone decides (its cells' bins and its candidate
-  splits) is kept for the rest of the fit, keyed by the node's path from
-  the root, within a fixed memory budget: rounds keep growing the same
-  few nodes, and only G and H change between them.
+- What a node's row set alone decides (its rows, its cells' rows and
+  compact bins, its candidates) is kept for the rest of the fit as small
+  unsigned integer arrays, keyed by the node's path from the root, first
+  come within a fixed byte budget: rounds keep growing the same few
+  nodes, and only G and H change between them. A split that repeats a
+  kept node finds its children kept too, and partitions nothing. The
+  budget holds every node of a fit on 5:27 and 8:43 corpora; at 45:243 a
+  fit's nodes outgrow it and about 40% of node searches find a kept node.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +71,36 @@ _GBT_PARAMS = {
 }
 
 
+# Bytes of node search data one fit may keep: every node of a fit on 5:27
+# and 8:43 corpora (at most 1.7 and 2.6 MB on the corpora measured), and a
+# bound on the memory of larger fits (20-39 MB each at 45:243).
+_CACHE_BYTES = 6 << 20
+# What a kept node costs beyond its arrays' data: objects and a dict slot.
+_NODE_BYTES = 800
+
+# What a node's row set alone decides: its rows and, when it is searched,
+# its cells' rows, their interleaved G and H histogram positions, its
+# compact axis (axis[p - 1] is the global bin at position p; position 0 is
+# empty, so prefix sums start at 0) and its candidates.
+_Node = namedtuple("_Node", "rows cell_row bins axis cand", defaults=(None,) * 4)
+
+
 class ExactBins:
     """One training matrix binned for split finding, once per fit: every
-    column's sorted distinct values (0 among them) on one feature-major bin
-    axis, and the row and bin of every nonzero cell.
-
-    A node gathers only from 1-D arrays (a feature is one contiguous row of
-    ``columns``): flat gathers are the cheap ones at a few dozen rows.
+    distinct column's sorted distinct values (0 among them) on one
+    feature-major bin axis, and the row and bin of every nonzero cell.
+    Byte-identical columns are binned once, as their first copy, and split
+    features name that first copy.
     """
 
     def __init__(self, X):
-        d = X.shape[1]
-        self.columns = np.ascontiguousarray(X.T)
+        columns = np.ascontiguousarray(X.T)
+        copies = {}
+        for j, column in enumerate(columns):
+            copies.setdefault(column.tobytes(), j)
+        self.feature = np.fromiter(copies.values(), np.intp, len(copies))
+        self.columns = columns[self.feature]
+        d = self.feature.size
         cols, self.cell_row = np.nonzero(self.columns)
         vals = self.columns[cols, self.cell_row]
         # bins: each column's distinct nonzero values plus its zero, sorted
@@ -89,96 +117,143 @@ class ExactBins:
         self.zero_bin = pair_bin[cols.size :]
         self.bin_value = v[opens]
         self.bin_col = c[opens]
-        self.col_start = np.searchsorted(self.bin_col, np.arange(d))
-        self.bin_col_start = self.col_start[self.bin_col]
         # Node rows stay in the stable order of column 0's values: node sums
         # then add in the order of the presorted reference grower in the
         # tests, so leaf values, scores and saved bundles match it bit for bit.
         self.root_rows = np.argsort(self.columns[0], kind="stable")
-        # 97% of the nodes grown in a benchmark pass repeat a node of an
-        # earlier round; room for eight root-sized nodes keeps nearly all of
-        # them at benchmark scale and bounds the memory of large fits.
+        # On 5:27 and 8:43 corpora over 90% of node searches repeat a node
+        # of an earlier round, and the budget keeps every node of the fit.
+        # Nodes are kept under the depth cap and their path from the root.
         self._seen = {}
-        self._room = 8 * (cols.size + 3 * self.bin_value.size)
+        self._room = _CACHE_BYTES
+        # kept arrays use the smallest unsigned type that holds every row
+        # and histogram position of the fit: 16 bits at the benchmark's scales
+        self._index = np.min_scalar_type(max(X.shape[0], 2 * self.bin_value.size + 2))
 
-    def _candidates(self, key, rows, cells):
-        """The part of a node's split search its row set alone decides:
-        its cells' bins and its candidates (last left bin, its column's
-        first bin, first right bin). Kept per fit, keyed by the node's
-        path from the root, while room lasts."""
-        found = self._seen.get(key)
-        if found is not None:
-            return found
-        cell_bin = self.cell_bin[cells]
-        count = np.bincount(cell_bin, minlength=self.bin_value.size)
-        count[self.zero_bin] = rows.size - np.add.reduceat(count, self.col_start)
-        present = np.flatnonzero(count)
-        pair = np.flatnonzero(self.bin_col[present[:-1]] == self.bin_col[present[1:]])
-        lo = present[pair]
-        found = (cell_bin, lo, self.bin_col_start[lo], present[pair + 1])
-        size = cell_bin.size + 3 * lo.size
-        if size <= self._room:
-            self._seen[key] = found
-            self._room -= size
-        return found
+    def _node(self, key, rows, cell_row, pos, axis, searched) -> _Node:
+        """The node under ``key``, kept while room lasts, from its rows, its
+        cells' rows and their positions on ``axis``, its parent's compact
+        axis (global bins; position p is ``axis[p - 1]``).
+
+        A ``searched`` node gets its candidates: each pair of consecutive
+        bins present at the node in one column, the zero bin present when
+        some row of the node is 0 there. A candidate is stored as the range
+        [a, b) of compact bins that make up its side without the zero bin,
+        then its last left and first right global bin.
+        """
+        arrays = (rows,)
+        if searched and pos.size:
+            # the compact axis: the bins present at the node
+            count = np.bincount(pos, minlength=axis.size + 1)
+            nonempty = np.flatnonzero(count > 0)
+            remap = np.zeros(count.size, dtype=np.intp)
+            remap[nonempty] = np.arange(1, nonempty.size + 1)
+            pos = remap.take(pos)
+            axis, count = axis.take(nonempty - 1), count.take(nonempty)
+            col = self.bin_col.take(axis)
+            opens = np.concatenate([[True], col[1:] != col[:-1]])
+            first = np.flatnonzero(opens)
+            bounds = np.append(first, axis.size)
+            has_zero = np.add.reduceat(count, first) < rows.size
+            zero_live = np.flatnonzero(has_zero)
+            zero = self.zero_bin.take(col.take(first.take(zero_live)))
+            # every present bin, zero bins merged in, and its live column
+            at = np.searchsorted(axis, zero) + np.arange(zero.size)
+            is_zero = np.zeros(axis.size + zero.size, dtype=bool)
+            is_zero[at] = True
+            present = np.empty(is_zero.size, dtype=np.intp)
+            present[at] = zero
+            present[~is_zero] = axis
+            live = np.empty(is_zero.size, dtype=np.intp)
+            live[at] = zero_live
+            live[~is_zero] = np.cumsum(opens) - 1
+            pair = np.flatnonzero(live[:-1] == live[1:])
+            lo, hi, c = present.take(pair), present.take(pair + 1), live.take(pair)
+            below_hi = pair + 1 - np.cumsum(is_zero).take(pair)
+            zero_left = has_zero.take(c) & (self.bin_value.take(lo) >= 0)
+            a = np.where(zero_left, below_hi, bounds.take(c))
+            b = np.where(zero_left, bounds.take(c + 1), below_hi)
+            bins = np.empty(2 * pos.size, dtype=np.intp)
+            np.multiply(pos, 2, out=bins[::2])
+            np.add(bins[::2], 1, out=bins[1::2])
+            arrays = (rows, cell_row, bins, axis, np.array([a, b, lo, hi]))
+        nbytes = _NODE_BYTES + self._index.itemsize * sum(a.size for a in arrays)
+        if nbytes > self._room:
+            return _Node(*arrays)
+        self._room -= nbytes
+        node = self._seen[key] = _Node(*(a.astype(self._index) for a in arrays))
+        return node
 
     def grow(self, g, h, max_depth, nodes: NodeArrays, lam=_LAMBDA) -> np.ndarray:
         """Grow one regression tree on gradients/hessians and append it to
         ``nodes``. Returns each training row's leaf value, read off the
         partition, so no tree is walked to update the raw scores."""
-        n_bins = self.bin_value.size
-        cell_g = g[self.cell_row]
-        cell_h = h[self.cell_row]
-        prefix_g = np.zeros(n_bins + 1)
-        prefix_h = np.zeros(n_bins + 1)
+        gh = np.stack([g, h])
+        # g and h as the parts of one complex number a row: one histogram
+        # and one prefix sum serve both (node sums use gh, as the complex
+        # sum adds in another order)
+        ghc = np.empty(g.size, dtype=np.complex128)
+        ghc.real, ghc.imag = g, h
         row_value = np.empty(g.size)
 
         def leaf(rows, value):
             row_value[rows] = value
             nodes.leaf(value)
 
-        def build(key, rows, cells, depth):
-            g_sum = float(g[rows].sum())
-            h_sum = float(h[rows].sum())
+        def build(key, node, depth):
+            g_sum, h_sum = gh.take(node.rows, axis=1).sum(axis=1).tolist()
             value = -g_sum / (h_sum + lam)
-            if depth >= max_depth or rows.size < 2:
-                return leaf(rows, value)
-            cell_bin, lo, start, hi = self._candidates(key, rows, cells)
-            if lo.size == 0:
-                return leaf(rows, value)
-            g_hist = np.bincount(cell_bin, cell_g[cells], n_bins)
-            h_hist = np.bincount(cell_bin, cell_h[cells], n_bins)
-            g_hist[self.zero_bin] = g_sum - np.add.reduceat(g_hist, self.col_start)
-            h_hist[self.zero_bin] = h_sum - np.add.reduceat(h_hist, self.col_start)
-            np.cumsum(g_hist, out=prefix_g[1:])
-            np.cumsum(h_hist, out=prefix_h[1:])
-            gl = prefix_g[lo + 1] - prefix_g[start]
-            hl = prefix_h[lo + 1] - prefix_h[start]
-            gr = g_sum - gl
-            hr = h_sum - hl
+            if node.cand is None or node.cand.shape[1] == 0:
+                return leaf(node.rows, value)
+            weights = ghc.take(node.cell_row).view(np.float64)
+            hist = np.bincount(node.bins, weights, 2 * node.axis.size + 2)
+            # prefix[i] sums the node's first i nonzero bins
+            ends = np.cumsum(hist.view(np.complex128)).take(node.cand[:2])
+            side = ends[1] - ends[0]
+            rest = complex(g_sum, h_sum) - side
+            gl, hl, gr, hr = side.real, side.imag, rest.real, rest.imag
+            # the gain is symmetric in its two sides
             gain = gl * gl / (hl + lam) + gr * gr / (hr + lam)
             best_raw = gain.max()
             best = 0.5 * (best_raw - g_sum**2 / (h_sum + lam))
             if not best > 0.0:
-                return leaf(rows, value)
+                return leaf(node.rows, value)
             # raw gains are twice the gains; the first tie wins
             k = int(np.argmax(gain >= best_raw - 2e-9 * max(1.0, abs(best))))
-            j = int(self.bin_col[lo[k]])
-            threshold = 0.5 * (self.bin_value[lo[k]] + self.bin_value[hi[k]])
+            lo, hi = node.cand[2:, k]
+            j = self.bin_col[lo]
+            threshold = 0.5 * (self.bin_value[lo] + self.bin_value[hi])
 
-            go_left = self.columns[j] <= threshold
-            rows_left = go_left[rows]
-            cells_left = go_left[self.cell_row[cells]]
-            i = nodes.split(j, float(threshold))
-            build((key, k, 0), rows[rows_left], cells[cells_left], depth + 1)
+            keys = (key, k, 0), (key, k, 1)
+            kids = [self._seen.get(kid) for kid in keys]
+            if None in kids:
+                go_left = self.columns[j] <= threshold
+                rows_left = go_left.take(node.rows)
+                cells_left = go_left.take(node.cell_row)
+                pos = node.bins[::2] >> 1
+                for kid, rows, cells in ((0, rows_left, cells_left),
+                                         (1, ~rows_left, ~cells_left)):
+                    if kids[kid] is None:
+                        rows = node.rows.take(np.flatnonzero(rows))
+                        cells = np.flatnonzero(cells)
+                        kids[kid] = self._node(
+                            keys[kid], rows, node.cell_row.take(cells), pos.take(cells),
+                            node.axis, depth + 1 < max_depth and rows.size >= 2,
+                        )
+            i = nodes.split(int(self.feature[j]), float(threshold))
+            build(keys[0], kids[0], depth + 1)
             nodes.right[i] = len(nodes.right)
-            build((key, k, 1), rows[~rows_left], cells[~cells_left], depth + 1)
+            build(keys[1], kids[1], depth + 1)
 
         nodes.roots.append(len(nodes.right))
-        build((), self.root_rows, np.arange(self.cell_row.size), 0)
-        # build refers to itself: a cycle that would keep this round's cell
-        # and prefix arrays alive until the cyclic collector runs (peak RSS
-        # grew 13% on a paper-suite pass); emptying the cell frees them now
+        root = self._seen.get(max_depth) or self._node(
+            max_depth, self.root_rows, self.cell_row, self.cell_bin + 1,
+            np.arange(self.bin_value.size), max_depth > 0 and g.size >= 2,
+        )
+        build(max_depth, root, 0)
+        # build refers to itself: a cycle that would keep this round's arrays
+        # alive until the cyclic collector runs (peak RSS grew 13% on a
+        # paper-suite pass); emptying the cell frees them now
         del build
         return row_value
 

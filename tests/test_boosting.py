@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from qflake.classifiers import boosting, get_profile, sigmoid, train_gbt
 from qflake.classifiers.tree import NodeArrays
+from qflake.corpus import Label, load_manifest
 from qflake.errors import PipelineError, QflakeError
+from qflake.synthetic import generate_corpus
+from qflake.text import fit_vocabulary, tokenize, transform
 
 from presorted_grower import append_tree, grow_presorted_tree
 from recursive_predict import recursive_score, tree_predict_value
@@ -190,11 +193,10 @@ def grown_tree(bins, g, h, max_depth):
 
 
 def assert_same_tree(tree, reference):
-    """Same shape, features and thresholds; leaf values to 1e-12 relative."""
+    """Same shape, features, thresholds and leaf values, bit for bit."""
     assert tree.is_leaf == reference.is_leaf
     if reference.is_leaf:
-        scale = max(1.0, abs(reference.value))
-        assert abs(tree.value - reference.value) <= 1e-12 * scale
+        assert tree.value == reference.value
         return
     assert (tree.feature, tree.threshold) == (reference.feature, reference.threshold)
     assert_same_tree(tree.left, reference.left)
@@ -245,5 +247,95 @@ def test_whole_fit_matches_presorted_grower(profile, tiny_corpus, monkeypatch):
     for tree, ref in zip(model.trees, reference.trees):
         assert_same_tree(tree, ref)
     assert sum(not t.is_leaf for t in model.trees) > 0
-    assert np.allclose(model.score(X), reference.score(X), rtol=1e-12, atol=0)
+    assert np.array_equal(model.score(X), reference.score(X))
     assert np.array_equal(model.score(X), recursive_score(model, X))
+
+
+def corpus_matrix(corpus):
+    """Count matrix and labels of every file, as ``qflake train`` fits."""
+    docs = [tokenize(e.text) for e in corpus]
+    X = transform(docs, fit_vocabulary(docs)).counts.astype(np.float64)
+    y = np.array([e.label is Label.FLAKY for e in corpus], dtype=np.int8)
+    return X, y
+
+
+@pytest.mark.parametrize("n_flaky, n_nonflaky, profile, corpus_seed", [
+    (5, 27, "paper_smote", 1011),
+    (8, 43, "paper_vanilla", 1000),
+])
+def test_node_cache_holds_a_whole_fit(
+    n_flaky, n_nonflaky, profile, corpus_seed, tmp_path, monkeypatch
+):
+    """At the benchmark's scales every node key's candidates are computed
+    once per fit, and the kept nodes stay within the byte budget: fold 0
+    of a 5:27 corpus after SMOTE (47 nodes; on some corpora every tree is
+    a stump), and a whole 8:43 corpus (51 rows)."""
+    corpus = load_manifest(generate_corpus(tmp_path, n_flaky, n_nonflaky, seed=corpus_seed))
+    if profile == "paper_smote":
+        X, y = fold0_training_matrix(corpus, smote=True)
+    else:
+        X, y = corpus_matrix(corpus)
+        assert X.shape[0] == 51
+    fits, computed = [], []
+    compute = boosting.ExactBins._node
+
+    def counted(self, key, *args):
+        fits.append(self)
+        computed.append(key)
+        return compute(self, key, *args)
+
+    monkeypatch.setattr(boosting.ExactBins, "_node", counted)
+    model = train_gbt(X, y, get_profile("xgb", profile).hyperparameters, seed=3)
+
+    assert len(set(map(id, fits))) == 1
+    assert len(computed) == len(set(computed))
+    # the fit grew far more nodes than it computed
+    assert model.flat.right.size > 5 * len(computed)
+    kept = fits[0]._seen.values()
+    held = sum(boosting._NODE_BYTES + sum(a.nbytes for a in node if a is not None)
+               for node in kept)
+    assert all(a.dtype == np.uint16 for node in kept for a in node if a is not None)
+    assert held == boosting._CACHE_BYTES - fits[0]._room <= boosting._CACHE_BYTES
+
+
+@settings(max_examples=100)
+@given(
+    n=st.integers(2, 40),
+    kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6),
+    n_copies=st.integers(1, 6),
+    max_depth=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_copied_columns_grow_the_same_trees(n, kinds, n_copies, max_depth, seed):
+    """Copies of random columns, each inserted after the column it copies,
+    leave every tree as it is once split features are mapped to the first
+    copy. An all-zero column, which has no cell at any node, is among the
+    columns, and may be copied too."""
+    rng = np.random.default_rng(seed)
+    X = make_columns([*kinds, "zero"], n, rng)
+    y = (rng.random(n) < 0.4).astype(np.int8)
+    y[:2] = (0, 1)
+    columns, source = list(X.T), list(range(X.shape[1]))
+    for _ in range(n_copies):
+        j = int(rng.integers(len(columns)))
+        at = int(rng.integers(j + 1, len(columns) + 1))
+        columns.insert(at, columns[j])
+        source.insert(at, source[j])
+    wide = np.column_stack(columns)
+    params = {"learning_rate": 0.5, "max_depth": max_depth, "n_estimators": 4}
+
+    model, copied = train_gbt(X, y, params), train_gbt(wide, y, params)
+
+    first = {}
+    for j, column in enumerate(X.T):
+        first.setdefault(column.tobytes(), j)
+    first_copy = np.array([first[column.tobytes()] for column in X.T])
+    flat, flat_copied = model.flat, copied.flat
+    for name in ("threshold", "right", "value", "roots"):
+        assert np.array_equal(getattr(flat, name), getattr(flat_copied, name))
+    split = flat.right != np.arange(flat.right.size)
+    assert np.array_equal(
+        first_copy[flat.feature[split]],
+        first_copy[np.array(source)[flat_copied.feature[split]]],
+    )
+    assert np.array_equal(model.score(X), copied.score(wide))

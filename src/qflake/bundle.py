@@ -14,7 +14,10 @@ structure is checked with whole-array operations (see ``tree``). Every
 array loads bit for bit as it was trained, and its bytes encode back to
 the same string, so save -> load -> save is byte-stable, a retrain with
 the same seed reproduces the file exactly, and a loaded bundle scores
-exactly as the trained one. Formats 1 (arrays as nested lists) and 2
+exactly as the trained one. The model payload holds only what scoring
+reads; the hyperparameters and seed are in the metadata, and the
+``params``, ``seed`` and ``flags`` keys that earlier format-3 bundles hold
+in the model are ignored on load. Formats 1 (arrays as nested lists) and 2
 (trees as nested dicts) are refused with a request to retrain: the bundle
 records the seed and corpus hash that reproduce it. The tokenizer must be
 a known profile name, and the vocabulary distinct strings in sorted order,
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import model_from_dict, model_to_dict
+from .classifiers import model_from_dict
 from .corpus import Corpus
 from .errors import QflakeError
 from .eval import FittedPipeline, PipelineConfig, ThresholdCurve, fit_pipeline
@@ -70,7 +73,7 @@ class ModelBundle:
             "tokenizer": self.tokenizer,
             "vocabulary": list(p.vocabulary.ordered_tokens),
             "pca": pca,
-            "model": model_to_dict(p.model),
+            "model": p.model.to_dict(),
             "threshold": float(p.threshold),
             "metadata": self.metadata,
         }

@@ -1,7 +1,11 @@
 """Five classifier families behind one train/score contract.
 
 Every trained model exposes ``score(X) -> array of flaky-class scores in
-[0, 1]``; the caller applies a decision threshold (default 0.5).
+[0, 1]``; the caller applies a decision threshold (default 0.5). A
+model's payload (``to_dict`` / ``model_from_dict``) holds only what scoring
+reads: the hyperparameters and seed go in a bundle's metadata, and the
+``params``, ``seed`` and ``flags`` keys that older payloads hold are
+ignored on load.
 """
 
 from __future__ import annotations
@@ -50,18 +54,9 @@ def train_model(family: str, X, y, hyperparameters=None, seed: int = 0):
     return trainer(X, y, hyperparameters or {}, seed=seed)
 
 
-def score(model, X) -> np.ndarray:
-    """Flaky-class score per row of X, in [0, 1]."""
-    return model.score(X)
-
-
 def predict_labels(scores, threshold: float = 0.5) -> np.ndarray:
     """Flaky iff score >= threshold."""
     return (np.asarray(scores) >= threshold).astype(np.int8)
-
-
-def model_to_dict(model) -> dict:
-    return model.to_dict()
 
 
 def model_from_dict(d: dict):
@@ -70,9 +65,6 @@ def model_from_dict(d: dict):
         cls = _MODEL_CLASSES[family]
     except KeyError:
         raise QflakeError(f"unknown model family in payload: {family!r}") from None
-    flags = d.get("flags", [])
-    if not (isinstance(flags, list) and all(type(f) is str for f in flags)):
-        raise QflakeError(f"model flags must be a list of strings, got {flags!r:.40}")
     return cls.from_dict(d)
 
 
@@ -89,9 +81,7 @@ __all__ = [
     "TreeNode",
     "get_profile",
     "model_from_dict",
-    "model_to_dict",
     "predict_labels",
-    "score",
     "sigmoid",
     "train_decision_tree",
     "train_gbt",

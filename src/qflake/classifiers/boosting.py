@@ -266,9 +266,6 @@ class GradientBoostingModel:
     learning_rate: float
     flat: FlatTrees
     n_features: int
-    params: dict
-    seed: int | None = None
-    flags: tuple[str, ...] = ()
 
     @property
     def trees(self) -> list[TreeNode]:
@@ -282,7 +279,9 @@ class GradientBoostingModel:
         return np.cumsum(np.concatenate([start, steps]), axis=0)[-1]
 
     def score(self, X) -> np.ndarray:
-        if "degenerate_labels" in self.flags:
+        # a one-class fit grows no trees and scores its prior, 0 or 1; a fit
+        # on both classes has 0 < prior < 1
+        if self.prior in (0.0, 1.0):
             X = check_scoring_input(X, self.n_features)
             return np.full(X.shape[0], self.prior, dtype=np.float64)
         return sigmoid(self.raw_score(X))
@@ -295,9 +294,6 @@ class GradientBoostingModel:
             "learning_rate": float(self.learning_rate),
             "trees": self.flat.to_payload(),
             "n_features": int(self.n_features),
-            "params": dict(self.params),
-            "seed": self.seed,
-            "flags": list(self.flags),
         }
 
     @classmethod
@@ -316,15 +312,12 @@ class GradientBoostingModel:
             **{name: float(value) for name, value in scalars.items()},
             flat=FlatTrees.from_payload(d["trees"], d["n_features"]),
             n_features=d["n_features"],
-            params=dict(d["params"]),
-            seed=d.get("seed"),
-            flags=tuple(d.get("flags", ())),
         )
 
 
 def train_gbt(X, y, params=None, seed=0) -> GradientBoostingModel:
-    """Boost for n_estimators rounds; a single-class training set yields the
-    constant prior, flagged rather than raised.
+    """Boost for n_estimators rounds; a single-class training set yields a
+    model with no trees that scores its prior (0 or 1), rather than raising.
     """
     X, y = check_training_data(X, y)
     resolved = validate_params("xgb", params or {}, _GBT_PARAMS)
@@ -336,9 +329,6 @@ def train_gbt(X, y, params=None, seed=0) -> GradientBoostingModel:
             learning_rate=float(resolved["learning_rate"]),
             flat=NodeArrays().flat(),
             n_features=X.shape[1],
-            params=resolved,
-            seed=seed,
-            flags=("degenerate_labels",),
         )
     base_raw = float(np.log(prior / (1.0 - prior)))
     raw = np.full(X.shape[0], base_raw, dtype=np.float64)
@@ -357,6 +347,4 @@ def train_gbt(X, y, params=None, seed=0) -> GradientBoostingModel:
         learning_rate=lr,
         flat=nodes.flat(),
         n_features=X.shape[1],
-        params=resolved,
-        seed=seed,
     )

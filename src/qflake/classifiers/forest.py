@@ -32,9 +32,6 @@ class RandomForestModel:
     family = "rf"
     flat: FlatTrees
     n_features: int
-    params: dict
-    seed: int | None = None
-    flags: tuple[str, ...] = ()
 
     @property
     def trees(self) -> list[TreeNode]:
@@ -51,9 +48,6 @@ class RandomForestModel:
             "family": self.family,
             "trees": self.flat.to_payload(),
             "n_features": int(self.n_features),
-            "params": dict(self.params),
-            "seed": self.seed,
-            "flags": list(self.flags),
         }
 
     @classmethod
@@ -61,13 +55,7 @@ class RandomForestModel:
         flat = FlatTrees.from_payload(d["trees"], d["n_features"])
         if not flat.roots.size:
             raise QflakeError("rf model payload holds no trees")
-        return cls(
-            flat=flat,
-            n_features=d["n_features"],
-            params=dict(d["params"]),
-            seed=d.get("seed"),
-            flags=tuple(d.get("flags", ())),
-        )
+        return cls(flat=flat, n_features=d["n_features"])
 
 
 def train_random_forest(X, y, params=None, seed=0) -> RandomForestModel:
@@ -91,9 +79,4 @@ def train_random_forest(X, y, params=None, seed=0) -> RandomForestModel:
             max_features=max_features,
             rng=rng,
         )
-    return RandomForestModel(
-        flat=nodes.flat(),
-        n_features=d,
-        params=resolved,
-        seed=seed,
-    )
+    return RandomForestModel(flat=nodes.flat(), n_features=d)

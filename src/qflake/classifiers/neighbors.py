@@ -27,9 +27,6 @@ class KnnModel:
     X_train: np.ndarray
     y_train: np.ndarray
     n_neighbors: int
-    params: dict
-    seed: int | None = None
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.X_train.setflags(write=False)
@@ -61,9 +58,6 @@ class KnnModel:
             "X_train": encode_array(self.X_train),
             "y_train": [int(v) for v in self.y_train],
             "n_neighbors": int(self.n_neighbors),
-            "params": dict(self.params),
-            "seed": self.seed,
-            "flags": list(self.flags),
         }
 
     @classmethod
@@ -80,14 +74,7 @@ class KnnModel:
             raise QflakeError(
                 f"knn n_neighbors must be an integer in [1, {len(X_train)}], got {k!r}"
             )
-        return cls(
-            X_train=X_train,
-            y_train=np.array(y_train, dtype=np.int8),
-            n_neighbors=k,
-            params=dict(d["params"]),
-            seed=d.get("seed"),
-            flags=tuple(d.get("flags", ())),
-        )
+        return cls(X_train=X_train, y_train=np.array(y_train, dtype=np.int8), n_neighbors=k)
 
 
 def train_knn(X, y, params=None, seed=0) -> KnnModel:
@@ -98,10 +85,4 @@ def train_knn(X, y, params=None, seed=0) -> KnnModel:
         raise PipelineError(
             f"n_neighbors={k} exceeds the {X.shape[0]} training rows"
         )
-    return KnnModel(
-        X_train=X.copy(),
-        y_train=y.copy(),
-        n_neighbors=k,
-        params=resolved,
-        seed=seed,
-    )
+    return KnnModel(X_train=X.copy(), y_train=y.copy(), n_neighbors=k)

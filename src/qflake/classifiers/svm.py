@@ -39,9 +39,6 @@ class LinearSvmModel:
     family = "svm"
     w: np.ndarray
     b: float
-    params: dict
-    seed: int | None = None
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.w.setflags(write=False)
@@ -62,9 +59,6 @@ class LinearSvmModel:
             "family": self.family,
             "w": encode_array(self.w),
             "b": float(self.b),
-            "params": dict(self.params),
-            "seed": self.seed,
-            "flags": list(self.flags),
         }
 
     @classmethod
@@ -72,13 +66,7 @@ class LinearSvmModel:
         b = d["b"]
         if not finite_number(b):
             raise QflakeError(f"svm bias must be a finite number, got {b!r}")
-        return cls(
-            w=decode_array(d["w"], 1),
-            b=float(b),
-            params=dict(d["params"]),
-            seed=d.get("seed"),
-            flags=tuple(d.get("flags", ())),
-        )
+        return cls(w=decode_array(d["w"], 1), b=float(b))
 
 
 def train_svm(X, y, params=None, seed=0) -> LinearSvmModel:
@@ -120,6 +108,4 @@ def train_svm(X, y, params=None, seed=0) -> LinearSvmModel:
                     alpha[i] = updated
         if worst < resolved["tol"]:
             break
-    return LinearSvmModel(
-        w=w[:-1].copy(), b=float(w[-1]), params=resolved, seed=seed
-    )
+    return LinearSvmModel(w=w[:-1].copy(), b=float(w[-1]))

@@ -402,9 +402,6 @@ class DecisionTreeModel:
     family = "dt"
     flat: FlatTrees
     n_features: int
-    params: dict
-    seed: int | None = None
-    flags: tuple[str, ...] = ()
 
     @property
     def root(self) -> TreeNode:
@@ -419,9 +416,6 @@ class DecisionTreeModel:
             "family": self.family,
             "root": self.flat.to_payload(),
             "n_features": int(self.n_features),
-            "params": dict(self.params),
-            "seed": self.seed,
-            "flags": list(self.flags),
         }
 
     @classmethod
@@ -429,13 +423,7 @@ class DecisionTreeModel:
         flat = FlatTrees.from_payload(d["root"], d["n_features"])
         if flat.roots.size != 1:
             raise QflakeError(f"dt model payload holds {flat.roots.size} trees, not one")
-        return cls(
-            flat=flat,
-            n_features=d["n_features"],
-            params=dict(d["params"]),
-            seed=d.get("seed"),
-            flags=tuple(d.get("flags", ())),
-        )
+        return cls(flat=flat, n_features=d["n_features"])
 
 
 def train_decision_tree(X, y, params=None, seed=0) -> DecisionTreeModel:
@@ -450,9 +438,4 @@ def train_decision_tree(X, y, params=None, seed=0) -> DecisionTreeModel:
         min_samples_leaf=resolved["min_samples_leaf"],
         min_samples_split=resolved["min_samples_split"],
     )
-    return DecisionTreeModel(
-        flat=nodes.flat(),
-        n_features=X.shape[1],
-        params=resolved,
-        seed=seed,
-    )
+    return DecisionTreeModel(flat=nodes.flat(), n_features=X.shape[1])

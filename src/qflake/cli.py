@@ -200,16 +200,19 @@ def _resolve_settings(args) -> None:
 
 
 def _pca_components(value, default):
-    """The --pca value: a component count, 'none' for no PCA, or unset
-    (None) for the profile's ``default``."""
+    """The --pca value: a component count of at least 1, 'none' for no PCA,
+    or unset (None) for the profile's ``default``."""
     if value is None:
         return default
     if isinstance(value, str) and value.lower() == "none":
         return None
     try:
-        return int(value)
+        components = int(value)
     except (TypeError, ValueError):
-        raise QflakeError(f"--pca expects an integer or 'none', got {value!r}") from None
+        components = 0
+    if components < 1:
+        raise QflakeError(f"--pca expects a positive integer or 'none', got {value!r}")
+    return components
 
 
 def _pipeline_from_args(args) -> tuple[PipelineConfig, dict]:

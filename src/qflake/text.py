@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import QflakeError
-
-_WORD_RUN = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -24,6 +23,14 @@ class TokenizerProfile:
     name: str
     lowercase: bool
     min_token_len: int
+
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        """Runs of at least ``min_token_len`` word characters. A maximal run
+        that long matches whole from its first character and a shorter one
+        matches nowhere, so this finds exactly the long enough runs of
+        ``\\w+``."""
+        return re.compile(rf"\w{{{self.min_token_len},}}")
 
 
 # "default" mirrors common reference-vectorizer behavior; "strict_code"
@@ -52,7 +59,7 @@ def tokenize(text: str, profile: TokenizerProfile | None = None) -> list[str]:
         profile = TOKENIZER_PROFILES["default"]
     if profile.lowercase:
         text = text.lower()
-    return [t for t in _WORD_RUN.findall(text) if len(t) >= profile.min_token_len]
+    return profile.pattern.findall(text)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ vectorized scoring in ``qflake.classifiers.tree`` must match bit for bit.
 It routes each node's row indices down a ``TreeNode`` tree, one node at
 a time. A forest adds its trees' scores one tree at a time and divides by
 the tree count; boosting adds each round's learning-rate scaled values to
-the base score one round at a time.
+the base score one round at a time, and a one-class boosting model (prior
+0 or 1) scores its prior.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ def recursive_score(model, X) -> np.ndarray:
         for tree in model.trees:
             acc += tree_predict_value(tree, X)
         return acc / len(model.trees)
-    if "degenerate_labels" in model.flags:
+    if model.prior in (0.0, 1.0):
         return np.full(X.shape[0], model.prior, dtype=np.float64)
     out = np.full(X.shape[0], model.base_raw, dtype=np.float64)
     for tree in model.trees:

@@ -46,15 +46,19 @@ class TestGradientBoosting:
         assert np.array_equal((scores >= 0.5).astype(int), y)
         assert scores[y == 1].min() > 0.9
 
-    def test_single_class_flagged_constant_prior(self):
+    def test_single_class_scores_constant_prior(self):
+        """A one-class fit grows no trees and scores its prior, 0 or 1,
+        exactly, wherever a row lies."""
         X = np.array([[0.0], [1.0]])
-        y = np.array([1, 1])
-        model = train_gbt(
-            X, y, {"learning_rate": 0.5, "max_depth": 2, "n_estimators": 10}
-        )
-        assert "degenerate_labels" in model.flags
-        assert model.trees == [] and model.flat.roots.size == 0
-        assert np.allclose(model.score(np.array([[99.0]])), 1.0)
+        for label in (0, 1):
+            model = train_gbt(
+                X, np.array([label, label]),
+                {"learning_rate": 0.5, "max_depth": 2, "n_estimators": 10},
+            )
+            assert model.prior == label
+            assert model.trees == [] and model.flat.roots.size == 0
+            scores = model.score(np.array([[99.0], [-3.0]]))
+            assert scores.tolist() == [float(label)] * 2
 
     @pytest.mark.parametrize("seed", [0, 3, 7, 10, 13])
     def test_equal_partitions_tie_to_lowest_feature(self, seed):

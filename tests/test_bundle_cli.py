@@ -39,7 +39,7 @@ class TestBundle:
             config = PipelineConfig.from_profile(family, profile, smote=profile == "paper_smote")
             bundle = train_bundle(corpus, config, seed=3)
             assert bundle.metadata["smote"] is (profile == "paper_smote")
-            one_class = bundle.to_dict()["model"]["flags"] == ["degenerate_labels"]
+            one_class = bundle.to_dict()["model"].get("prior") == 0.0
             assert one_class is (corpus is nonflaky)
             p1 = tmp_path / f"{family}-{profile}-{len(corpus)}.a.json"
             p2 = tmp_path / f"{family}-{profile}-{len(corpus)}.b.json"
@@ -649,9 +649,6 @@ MALFORMED_INPUTS = {
     "bundle-n-features-fraction": (
         _tampered_bundle, ("rf", lambda m: m.update(n_features=m["n_features"] + 0.7))
     ),
-    "bundle-flags-not-list": (
-        _one_class_bundle, ("xgb", lambda d: d["model"].update(flags="degenerate_labels"))
-    ),
     "bundle-tokenizer-not-string": (
         _edited_bundle, ("dt", lambda d: d.update(tokenizer=["default"]))
     ),
@@ -678,6 +675,7 @@ MALFORMED_INPUTS = {
         _configured, ("evaluate", {"hyperparameters": {"max_depth": "x"}})
     ),
     "config-models-not-list": (_configured, ("experiment", {"models": "dt"})),
+    "config-pca-zero": (_configured, ("train", {"pca": 0})),
     "config-hyperparameter-infinity": (
         _trained_with_config, '{"hyperparameters": {"learning_rate": Infinity}}'
     ),
@@ -731,7 +729,6 @@ MALFORMED_MESSAGES = {
     "bundle-boosting-leaf-without-value": "tree payload has no value array",
     "bundle-n-features-string": "n_features must be an integer >= 1, got '",
     "bundle-n-features-fraction": "n_features must be an integer >= 1, got ",
-    "bundle-flags-not-list": "model flags must be a list of strings, got 'degenerate_labels'",
     "bundle-tokenizer-not-string": "bundle tokenizer must be a profile name, got ['default']",
     # the name is checked on load, so the line names the bundle
     "bundle-tokenizer-unknown": "bundle.json: unknown tokenizer profile 'bogus'",
@@ -742,6 +739,7 @@ MALFORMED_MESSAGES = {
     "config-hyperparameter-infinity": "is not valid JSON: Infinity is not a JSON number",
     "config-hyperparameter-overflow": "xgb: invalid value for 'learning_rate': inf",
     "config-nested-too-deep": "is not valid JSON: maximum recursion depth exceeded",
+    "config-pca-zero": "--pca expects a positive integer or 'none', got 0",
     "config-key-unknown": "cfg.json: unknown key(s) 'seeed', 'fold'; known keys: seed, folds,",
     "argv-family-unknown": "error: argument --family: invalid choice: 'bogus'",
     "argv-no-command": "error: the following arguments are required: command",
@@ -763,6 +761,33 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert MALFORMED_MESSAGES.get(case, "") in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("family", ["dt", "rf", "xgb", "xgb-one-class", "knn", "svm"])
+def test_model_echo_fields_are_ignored_on_load(family, tmp_path, capsys):
+    """A model payload holds no ``params``, ``seed`` or ``flags``. A bundle
+    that holds them again, as bundles written before held them or as junk,
+    predicts bit for bit as the bundle without them, and saves without them."""
+    one_class = family == "xgb-one-class"
+    manifest = _trainable_manifest(tmp_path, ("nonflaky",) * 6 if one_class else _TWO_FLAKY)
+    sources = [str(p) for p in sorted(tmp_path.glob("t*.py"))]
+    plain = tmp_path / "plain.json"
+    assert cli.main(["train", "--manifest", str(manifest), "--family", family[:3],
+                     "--seed", "3", "--out", str(plain)]) == 0
+    assert cli.main(["predict", "--bundle", str(plain), *sources]) == 0
+    expected = capsys.readouterr().out.split("\n", 1)[1]
+    data = json.loads(plain.read_text())
+    assert not {"params", "seed", "flags"} & data["model"].keys()
+    metadata = data["metadata"]
+    written = {"params": metadata["hyperparameters"], "seed": metadata["seed"],
+               "flags": ["degenerate_labels"] if one_class else []}
+    echoed = tmp_path / "echoed.json"
+    for echo in [written, *({key: junk for key in written} for junk in ("x", [], {}, 10**400))]:
+        data["model"].update(echo)
+        echoed.write_text(json.dumps(data))
+        assert cli.main(["predict", "--bundle", str(echoed), *sources]) == 0
+        assert capsys.readouterr().out == expected
+        assert ModelBundle.load(echoed).to_json() == plain.read_text()
 
 
 def test_in_process_calls_share_no_parser_state(tiny_manifest, tmp_path, capsys):

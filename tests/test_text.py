@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflake.text import (
+    TOKENIZER_PROFILES,
     fit_vocabulary,
     get_tokenizer_profile,
     tokenize,
@@ -32,6 +35,28 @@ class TestTokenize:
 
     def test_underscore_is_a_word_character(self):
         assert tokenize("__init__ a_b") == ["__init__", "a_b"]
+
+
+def word_runs_filtered(text, profile):
+    """The token rule ``tokenize`` is checked against: every maximal run of
+    word characters, then a length filter."""
+    if profile.lowercase:
+        text = text.lower()
+    return [t for t in re.findall(r"\w+", text) if len(t) >= profile.min_token_len]
+
+
+@settings(max_examples=300)
+@given(
+    text=st.text(
+        # "İ" lowercases to two characters, the second no word character
+        alphabet=st.sampled_from(list("aZz_09 .=\n\tİßéΣǅ٣\u0307")) | st.characters(),
+        max_size=40,
+    ),
+    name=st.sampled_from(sorted(TOKENIZER_PROFILES)),
+)
+def test_tokens_equal_filtered_word_runs(text, name):
+    profile = TOKENIZER_PROFILES[name]
+    assert tokenize(text, profile) == word_runs_filtered(text, profile)
 
 
 class TestVocabulary:

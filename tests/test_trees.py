@@ -383,17 +383,18 @@ def test_flat_scores_equal_recursive_walk(
     ]
     flat = nodes.flat()
     assert flat.depth == max(depths, default=0)
-    common = {"flat": flat, "n_features": n_features, "params": {}, "seed": seed}
+    common = {"flat": flat, "n_features": n_features}
     if family == "dt":
         model = DecisionTreeModel(**common)
     elif family == "rf":
         model = RandomForestModel(**common)
     else:
+        # a one-class fit has prior 0 or 1, any other 0 < prior < 1
+        one_class = family == "xgb-degenerate"
         model = GradientBoostingModel(
             base_raw=float(rng.normal()),
-            prior=float(rng.random()),
+            prior=float(rng.integers(2) if one_class else rng.uniform(0.01, 0.99)),
             learning_rate=float(rng.uniform(0.01, 1.0)),
-            flags=("degenerate_labels",) if family == "xgb-degenerate" else (),
             **common,
         )
     views = [model.root] if family == "dt" else model.trees

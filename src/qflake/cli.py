@@ -209,7 +209,7 @@ def _pca_components(value, default):
     try:
         components = int(value)
     except (TypeError, ValueError):
-        components = 0
+        components = 0  # not a number: refused as a size below 1 is
     if components < 1:
         raise QflakeError(f"--pca expects a positive integer or 'none', got {value!r}")
     return components

@@ -34,7 +34,7 @@ folds = stratified_folds(corpus, n_folds=5, seed=7)
 per_fold = Counter()
 per_fold_flaky = Counter()
 for entry in corpus:
-    f = folds.assignment[entry.id]
+    f = folds[entry.id]
     per_fold[f] += 1
     if entry.label is Label.FLAKY:
         per_fold_flaky[f] += 1

@@ -11,7 +11,6 @@ from .bundle import ModelBundle, train_bundle
 from .corpus import (
     Corpus,
     CorpusEntry,
-    FoldAssignment,
     Label,
     SubsetMode,
     load_manifest,

@@ -17,9 +17,13 @@ the same seed reproduces the file exactly, and a loaded bundle scores
 exactly as the trained one. The model payload holds only what scoring
 reads; the hyperparameters and seed are in the metadata, and the
 ``params``, ``seed`` and ``flags`` keys that earlier format-3 bundles hold
-in the model are ignored on load. Formats 1 (arrays as nested lists) and 2
-(trees as nested dicts) are refused with a request to retrain: the bundle
-records the seed and corpus hash that reproduce it. The tokenizer must be
+in the model are ignored on load. The metadata records each pipeline
+setting once and is otherwise free-form: loading reads only its threshold
+curve and SMOTE count, so the ``effective_config`` copy of the settings
+that earlier format-3 bundles hold there is ignored. Formats 1 (arrays
+as nested lists) and 2 (trees as nested dicts) are refused with a
+request to retrain: the bundle records the seed and corpus hash that
+reproduce it. The tokenizer must be
 a known profile name, and the vocabulary distinct strings in sorted order,
 as training writes them; bundles are read and written through ``jsonio``,
 which refuses the NaN and Infinity literals. Creation
@@ -53,7 +57,6 @@ class ModelBundle:
     tokenizer: str
     pipeline: FittedPipeline
     metadata: dict
-    format_version: int = FORMAT_VERSION
 
     @property
     def threshold(self) -> float:
@@ -69,7 +72,7 @@ class ModelBundle:
                 "explained_variance": encode_array(p.pca.explained_variance),
             }
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "tokenizer": self.tokenizer,
             "vocabulary": list(p.vocabulary.ordered_tokens),
             "pca": pca,
@@ -143,15 +146,9 @@ class ModelBundle:
             curve=None if curve is None else ThresholdCurve(
                 grid=tuple((t, f1) for t, f1 in curve), best_threshold=threshold
             ),
-            pca_effective=metadata.get("pca_effective"),
             smote_synthetic=metadata.get("smote_synthetic", 0),
         )
-        return cls(
-            tokenizer=tokenizer,
-            pipeline=pipeline,
-            metadata=metadata,
-            format_version=version,
-        )
+        return cls(tokenizer=tokenizer, pipeline=pipeline, metadata=metadata)
 
     def to_json(self) -> str:
         return dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -195,11 +192,6 @@ class ModelBundle:
             )
         return scores
 
-    def predict_texts(self, texts):
-        scores = self.score_texts(texts)
-        labels = ["flaky" if s >= self.threshold else "nonflaky" for s in scores]
-        return scores, labels
-
 
 def _creation_stamp():
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
@@ -229,7 +221,7 @@ def train_bundle(corpus: Corpus, config: PipelineConfig, seed: int = 0) -> Model
         "smote_synthetic": fitted.smote_synthetic,
         "pca_requested": config.pca_components,
         "pca_effective": fitted.pca_effective,
-        "threshold_mode": "tuned" if config.tune_threshold else "fixed",
+        "threshold_mode": config.threshold_mode,
         "threshold_curve": (
             None if fitted.curve is None else [[t, f1] for t, f1 in fitted.curve.grid]
         ),

@@ -27,26 +27,19 @@ from .profiles import (
 from .svm import LinearSvmModel, train_svm
 from .tree import DecisionTreeModel, TreeNode, train_decision_tree
 
-_TRAINERS = {
-    "xgb": train_gbt,
-    "dt": train_decision_tree,
-    "rf": train_random_forest,
-    "knn": train_knn,
-    "svm": train_svm,
-}
-
-_MODEL_CLASSES = {
-    "xgb": GradientBoostingModel,
-    "dt": DecisionTreeModel,
-    "rf": RandomForestModel,
-    "knn": KnnModel,
-    "svm": LinearSvmModel,
+# family -> (trainer, model class)
+_IMPLEMENTATIONS = {
+    "xgb": (train_gbt, GradientBoostingModel),
+    "dt": (train_decision_tree, DecisionTreeModel),
+    "rf": (train_random_forest, RandomForestModel),
+    "knn": (train_knn, KnnModel),
+    "svm": (train_svm, LinearSvmModel),
 }
 
 
 def train_model(family: str, X, y, hyperparameters=None, seed: int = 0):
     try:
-        trainer = _TRAINERS[family]
+        trainer, _ = _IMPLEMENTATIONS[family]
     except KeyError:
         raise QflakeError(
             f"unknown family {family!r}; expected one of {FAMILIES}"
@@ -62,7 +55,7 @@ def predict_labels(scores, threshold: float = 0.5) -> np.ndarray:
 def model_from_dict(d: dict):
     family = d.get("family")
     try:
-        cls = _MODEL_CLASSES[family]
+        _, cls = _IMPLEMENTATIONS[family]
     except KeyError:
         raise QflakeError(f"unknown model family in payload: {family!r}") from None
     return cls.from_dict(d)

@@ -184,7 +184,7 @@ class ExactBins:
         node = self._seen[key] = _Node(*(a.astype(self._index) for a in arrays))
         return node
 
-    def grow(self, g, h, max_depth, nodes: NodeArrays, lam=_LAMBDA) -> np.ndarray:
+    def grow(self, g, h, max_depth, nodes: NodeArrays) -> np.ndarray:
         """Grow one regression tree on gradients/hessians and append it to
         ``nodes``. Returns each training row's leaf value, read off the
         partition, so no tree is walked to update the raw scores."""
@@ -202,7 +202,7 @@ class ExactBins:
 
         def build(key, node, depth):
             g_sum, h_sum = gh.take(node.rows, axis=1).sum(axis=1).tolist()
-            value = -g_sum / (h_sum + lam)
+            value = -g_sum / (h_sum + _LAMBDA)
             if node.cand is None or node.cand.shape[1] == 0:
                 return leaf(node.rows, value)
             weights = ghc.take(node.cell_row).view(np.float64)
@@ -213,9 +213,9 @@ class ExactBins:
             rest = complex(g_sum, h_sum) - side
             gl, hl, gr, hr = side.real, side.imag, rest.real, rest.imag
             # the gain is symmetric in its two sides
-            gain = gl * gl / (hl + lam) + gr * gr / (hr + lam)
+            gain = gl * gl / (hl + _LAMBDA) + gr * gr / (hr + _LAMBDA)
             best_raw = gain.max()
-            best = 0.5 * (best_raw - g_sum**2 / (h_sum + lam))
+            best = 0.5 * (best_raw - g_sum**2 / (h_sum + _LAMBDA))
             if not best > 0.0:
                 return leaf(node.rows, value)
             # raw gains are twice the gains; the first tie wins

@@ -16,14 +16,12 @@ import numpy as np
 from ..errors import QflakeError
 from ..seeding import STREAM_MODEL, rng_for
 from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
-from .tree import CRITERIA, FlatTrees, NodeArrays, SplitSearch, TreeNode, grow_class_tree
+from .tree import _DT_PARAMS, FlatTrees, NodeArrays, SplitSearch, TreeNode, grow_class_tree
 
+# a decision tree's settings, and how many trees
 _RF_PARAMS = {
     "n_estimators": (REQUIRED, lambda v: isinstance(v, int) and v >= 1),
-    "criterion": ("entropy", lambda v: v in CRITERIA),
-    "max_depth": (None, lambda v: v is None or (isinstance(v, int) and v >= 0)),
-    "min_samples_leaf": (1, lambda v: isinstance(v, int) and v >= 1),
-    "min_samples_split": (2, lambda v: isinstance(v, int) and v >= 2),
+    **_DT_PARAMS,
 }
 
 

@@ -22,8 +22,6 @@ PROFILE_NAMES = ("paper_vanilla", "paper_smote")
 
 @dataclass(frozen=True)
 class BuiltinProfile:
-    family: str
-    name: str
     hyperparameters: dict = field(hash=False)
     pca_components: int | None
 
@@ -90,6 +88,4 @@ def get_profile(family: str, name: str) -> BuiltinProfile:
             f"unknown profile {name!r}; expected one of {PROFILE_NAMES}"
         )
     hyper, pca = _PROFILES[(family, name)]
-    return BuiltinProfile(
-        family=family, name=name, hyperparameters=dict(hyper), pca_components=pca
-    )
+    return BuiltinProfile(hyperparameters=dict(hyper), pca_components=pca)

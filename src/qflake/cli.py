@@ -4,8 +4,9 @@ Each command takes only the options it reads. Every setting is declared
 once, in ``_FILE_KEYS``: its JSON type, admitted values, default and
 help. ``main`` resolves the settings a command takes before it runs: a
 command-line value wins over the ``--config`` JSON file's, which wins
-over the default; the effective configuration is echoed into every
-run's outputs. Exit codes: 0 success, 2 bad input, 3 a failed run. The
+over the default. Each output records the settings it was made with
+once: a bundle in its metadata, evaluate in its report, experiment in
+its run.json. Exit codes: 0 success, 2 bad input, 3 a failed run. The
 type of the error decides, in ``main`` alone: a ``PipelineError`` (valid
 input that a stage could not fit or score) prints ``<command> failed:
 <msg>`` and exits 3; any other ``QflakeError`` (bad usage, manifest,
@@ -20,11 +21,12 @@ import functools
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 from .bundle import ModelBundle, train_bundle
-from .classifiers import FAMILIES, PROFILE_NAMES, get_profile
+from .classifiers import FAMILIES, PROFILE_NAMES, predict_labels
 from .corpus import (
     Corpus,
     Label,
@@ -215,38 +217,24 @@ def _pca_components(value, default):
     return components
 
 
-def _pipeline_from_args(args) -> tuple[PipelineConfig, dict]:
-    """The pipeline train or evaluate fits, and its echo. Only evaluate
-    takes the --replicate-paper-* switches: a bundle is fitted on the
-    whole corpus, with no evaluation fold."""
-    replicate = {key: getattr(args, key) for key in _REPLICATE if hasattr(args, key)}
-    builtin = get_profile(
-        args.family, args.profile or ("paper_smote" if args.smote else "paper_vanilla")
-    )
-    hyper = {**builtin.hyperparameters, **args.hyperparameters}
-    pca_components = _pca_components(args.pca, builtin.pca_components)
-    config = PipelineConfig(
-        family=args.family,
-        hyperparameters=hyper,
-        pca_components=pca_components,
+def _pipeline_from_args(args) -> PipelineConfig:
+    """The pipeline train or evaluate fits: the profile's settings under
+    the command's. Only evaluate takes the --replicate-paper-* switches: a
+    bundle is fitted on the whole corpus, with no evaluation fold."""
+    config = PipelineConfig.from_profile(
+        args.family,
+        args.profile or ("paper_smote" if args.smote else "paper_vanilla"),
         smote=args.smote,
         tune_threshold=args.tune_threshold,
         tokenizer=args.tokenizer,
-        fit_vocab_on_all=replicate.get("replicate_paper_vectorization", False),
-        tune_on_eval_fold=replicate.get("replicate_paper_threshold", False),
-        profile_name=builtin.name,
+        fit_vocab_on_all=getattr(args, "replicate_paper_vectorization", False),
+        tune_on_eval_fold=getattr(args, "replicate_paper_threshold", False),
     )
-    echo = {
-        "family": args.family,
-        "profile": builtin.name,
-        "hyperparameters": hyper,
-        "pca_components": pca_components,
-        "smote": args.smote,
-        "threshold_mode": "tuned" if args.tune_threshold else "fixed",
-        "tokenizer": args.tokenizer,
-        **replicate,
-    }
-    return config, echo
+    return replace(
+        config,
+        hyperparameters={**config.hyperparameters, **args.hyperparameters},
+        pca_components=_pca_components(args.pca, config.pca_components),
+    )
 
 
 def _prepare_out(path: Path, directory: bool) -> None:
@@ -269,6 +257,19 @@ def _fmt_float(x) -> str:
     return repr(float(x))
 
 
+def _write_manifest_at(records, manifest_path: Path) -> None:
+    """Write manifest ``records``, each ``path`` one this process can open,
+    with every path made relative to the manifest's own directory, where
+    loading looks for it. Only directories are resolved, so a symlinked
+    file keeps its own name."""
+    base = manifest_path.parent.resolve()
+    rebased = []
+    for r in records:
+        path = Path(r["path"])
+        rebased.append({**r, "path": os.path.relpath(path.parent.resolve() / path.name, base)})
+    write_manifest(rebased, manifest_path)
+
+
 def cmd_ingest(args) -> int:
     if args.out is not None:
         _prepare_out(args.out, directory=False)
@@ -278,7 +279,9 @@ def cmd_ingest(args) -> int:
             print("no entries", file=sys.stderr)
             return EXIT_VALIDATION
         manifest_path = args.out or (args.root / "manifest.jsonl")
-        write_manifest(records, manifest_path)
+        _write_manifest_at(
+            [{**r, "path": args.root / r["path"]} for r in records], manifest_path
+        )
         corpus = load_manifest(manifest_path)
     else:
         items = list(parse_manifest(args.manifest))
@@ -292,17 +295,13 @@ def cmd_ingest(args) -> int:
         corpus = Corpus(tuple(items))
         manifest_path = args.manifest
         if args.out is not None:
-            base = Path(args.out).parent.resolve()
-            records = [
-                {
-                    "id": e.id,
-                    "path": os.path.relpath(Path(e.path).resolve(), base),
-                    "label": e.label.value,
-                    "repo": e.repo,
-                }
-                for e in corpus
-            ]
-            write_manifest(records, args.out)
+            _write_manifest_at(
+                [
+                    {"id": e.id, "path": e.path, "label": e.label.value, "repo": e.repo}
+                    for e in corpus
+                ],
+                args.out,
+            )
             manifest_path = args.out
     counts = corpus.class_counts
     print(
@@ -314,10 +313,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, echo = _pipeline_from_args(args)
+    config = _pipeline_from_args(args)
     _prepare_out(args.out, directory=False)
     bundle = train_bundle(load_manifest(args.manifest), config, seed=args.seed)
-    bundle.metadata["effective_config"] = echo
     bundle.save(args.out)
     print(f"bundle written: {args.out} (threshold {_fmt_float(bundle.threshold)})")
     return EXIT_OK
@@ -327,10 +325,14 @@ def cmd_predict(args) -> int:
     if args.out is not None:
         _prepare_out(args.out, directory=False)
     bundle = ModelBundle.load(args.bundle)
-    scores, labels = bundle.predict_texts([read_source(path) for path in args.files])
+    scores = bundle.score_texts([read_source(path) for path in args.files])
+    labels = predict_labels(scores, bundle.threshold)
     lines = [
-        dumps({"path": str(p), "score": float(s), "label": l}, sort_keys=True)
-        for p, s, l in zip(args.files, scores, labels)
+        dumps(
+            {"path": str(p), "score": float(s), "label": "flaky" if flaky else "nonflaky"},
+            sort_keys=True,
+        )
+        for p, s, flaky in zip(args.files, scores, labels)
     ]
     payload = "\n".join(lines) + "\n"
     if args.out is not None:
@@ -360,14 +362,24 @@ def _report_csv(result) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    config, echo = _pipeline_from_args(args)
+    config = _pipeline_from_args(args)
     if args.out is not None:
         _prepare_out(args.out, directory=True)
     corpus = load_manifest(args.manifest)
     data = select_subset(corpus, SubsetMode(args.dataset), args.seed)
     result = cross_validate(data, config, n_folds=args.folds, seed=args.seed)
     report = {
-        "config": echo,
+        "config": {
+            "family": config.family,
+            "profile": config.profile_name,
+            "hyperparameters": config.hyperparameters,
+            "pca_components": config.pca_components,
+            "smote": config.smote,
+            "threshold_mode": config.threshold_mode,
+            "tokenizer": config.tokenizer,
+            "replicate_paper_vectorization": config.fit_vocab_on_all,
+            "replicate_paper_threshold": config.tune_on_eval_fold,
+        },
         "seed": args.seed,
         "n_folds": args.folds,
         "dataset": args.dataset,

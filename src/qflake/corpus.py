@@ -8,7 +8,7 @@ filesystem enumeration order can never change downstream results.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -88,14 +88,6 @@ class Corpus:
             th = hashlib.sha256(e.text.encode("utf-8")).hexdigest()
             h.update(f"{e.id}\t{e.label.value}\t{th}\n".encode("utf-8"))
         return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Maps every entry id to a fold index in [0, n_folds)."""
-
-    n_folds: int
-    assignment: dict[str, int] = field(compare=True)
 
 
 def read_source(path: Path) -> str:
@@ -247,9 +239,10 @@ def select_subset(corpus: Corpus, mode: SubsetMode, seed: int) -> Corpus:
     return corpus.subset(selected)
 
 
-def stratified_folds(corpus: Corpus, n_folds: int, seed: int) -> FoldAssignment:
-    """Assign entries to folds, shuffling within each class then dealing
-    round-robin so per-class fold sizes differ by at most one.
+def stratified_folds(corpus: Corpus, n_folds: int, seed: int) -> dict[str, int]:
+    """Map every entry id to a fold index in [0, n_folds), shuffling within
+    each class then dealing round-robin so per-class fold sizes differ by
+    at most one.
     """
     if n_folds < 2:
         raise QflakeError("n_folds must be at least 2")
@@ -267,4 +260,4 @@ def stratified_folds(corpus: Corpus, n_folds: int, seed: int) -> FoldAssignment:
         order = rng.permutation(len(ids))
         for position, idx in enumerate(order):
             assignment[ids[idx]] = position % n_folds
-    return FoldAssignment(n_folds=n_folds, assignment=assignment)
+    return assignment

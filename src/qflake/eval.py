@@ -189,9 +189,14 @@ class PipelineConfig:
             family=family,
             hyperparameters=builtin.hyperparameters,
             pca_components=builtin.pca_components,
-            profile_name=builtin.name,
+            profile_name=profile,
             **kwargs,
         )
+
+    @property
+    def threshold_mode(self) -> str:
+        """How outputs name the threshold policy: "tuned" or "fixed" (0.5)."""
+        return "tuned" if self.tune_threshold else "fixed"
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,6 @@ class FoldResult:
     n_train: int
     n_eval: int
     vocab_size: int
-    pca_requested: int | None
     pca_effective: int | None
     smote_synthetic: int
 
@@ -213,7 +217,6 @@ class FoldResult:
 class AggregateReport:
     mean: dict[str, float]
     std: dict[str, float]
-    flags: frozenset[str] = frozenset()
 
 
 def aggregate_reports(reports) -> AggregateReport:
@@ -221,21 +224,16 @@ def aggregate_reports(reports) -> AggregateReport:
     reports = list(reports)
     mean = {}
     std = {}
-    flags = set()
     for name in METRIC_NAMES:
         vals = np.array([getattr(r, name) for r in reports], dtype=np.float64)
         mean[name] = float(vals.mean())
         std[name] = float(vals.std())
-    for r in reports:
-        flags |= r.flags
-    return AggregateReport(mean=mean, std=std, flags=frozenset(flags))
+    return AggregateReport(mean=mean, std=std)
 
 
 @dataclass(frozen=True)
 class CrossValResult:
     config: PipelineConfig
-    n_folds: int
-    seed: int
     folds: tuple[FoldResult, ...]
     aggregate: AggregateReport
 
@@ -264,8 +262,12 @@ class FittedPipeline:
     model: object
     threshold: float
     curve: ThresholdCurve | None
-    pca_effective: int | None
     smote_synthetic: int
+
+    @property
+    def pca_effective(self) -> int | None:
+        """Components the PCA step keeps, or None without PCA."""
+        return None if self.pca is None else self.pca.n_components
 
     def score(self, docs) -> np.ndarray:
         """Flaky-class scores of tokenized documents."""
@@ -313,11 +315,9 @@ def fit_pipeline(
         smote_synthetic = resampled.n_synthetic
 
     pca_model = None
-    pca_effective = None
     X_model = X_fit
     if config.pca_components is not None:
-        pca_effective = min(config.pca_components, pca_ceiling(*X_fit.shape))
-        pca_model = pca_fit(X_fit, pca_effective)
+        pca_model = pca_fit(X_fit, min(config.pca_components, pca_ceiling(*X_fit.shape)))
         X_model = pca_transform(pca_model, X_fit)
 
     model = train_model(
@@ -333,7 +333,6 @@ def fit_pipeline(
         model=model,
         threshold=0.5,
         curve=None,
-        pca_effective=pca_effective,
         smote_synthetic=smote_synthetic,
     )
     if config.tune_threshold and not config.tune_on_eval_fold:
@@ -347,13 +346,13 @@ class _CrossValState:
     """What every (fold, group) fit of one ``cross_validate_all`` call reads:
     the configs, the groups of configs sharing one model (a config with
     ``tune_threshold`` off, and its members' indices), each fold's training
-    and held-out ids and labels, and the tokenized documents."""
+    and held-out corpus positions and labels, and per tokenizer profile the
+    tokenized documents in corpus order."""
 
     configs: tuple[PipelineConfig, ...]
     groups: tuple[tuple[PipelineConfig, tuple[int, ...]], ...]
-    splits: tuple[tuple[list, list, np.ndarray, np.ndarray], ...]
-    all_ids: list
-    docs: dict
+    splits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    docs: dict[str, list[list[str]]]
     seed: int
 
 
@@ -363,15 +362,15 @@ def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
     The group's one fit is tuned when any member tunes, so the inner
     tuning rows are scored once; a fixed member keeps 0.5."""
     config, members = state.groups[g]
-    train_ids, eval_ids, y_train, y_eval = state.splits[f]
+    train_pos, eval_pos, y_train, y_eval = state.splits[f]
     tokens = state.docs[config.tokenizer]
-    vocab_docs = [tokens[i] for i in state.all_ids] if config.fit_vocab_on_all else None
     tuned = [state.configs[i].tune_threshold for i in members]
     fitted = fit_pipeline(
-        [tokens[i] for i in train_ids], y_train,
-        replace(config, tune_threshold=any(tuned)), state.seed, f, vocab_docs,
+        [tokens[i] for i in train_pos], y_train,
+        replace(config, tune_threshold=any(tuned)), state.seed, f,
+        tokens if config.fit_vocab_on_all else None,
     )
-    eval_scores = fitted.score([tokens[i] for i in eval_ids])
+    eval_scores = fitted.score([tokens[i] for i in eval_pos])
     if any(tuned) and config.tune_on_eval_fold:
         fitted = fitted.tuned(eval_scores, y_eval)
     results = []
@@ -385,10 +384,9 @@ def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
                 cm=cm,
                 threshold=threshold,
                 threshold_curve=curve,
-                n_train=len(train_ids),
-                n_eval=len(eval_ids),
+                n_train=len(train_pos),
+                n_eval=len(eval_pos),
                 vocab_size=len(fitted.vocabulary),
-                pca_requested=config.pca_components,
                 pca_effective=fitted.pca_effective,
                 smote_synthetic=fitted.smote_synthetic,
             )
@@ -479,27 +477,23 @@ def cross_validate_all(
     """
     configs = tuple(configs)
     folds = stratified_folds(corpus, n_folds, seed)
-    all_ids = corpus.ids()
-    labels = {e.id: 1 if e.label.value == "flaky" else 0 for e in corpus}
+    fold_of = np.array([folds[e.id] for e in corpus])
+    labels = corpus.labels()
     docs = {}
     for name in dict.fromkeys(c.tokenizer for c in configs):
         profile = get_tokenizer_profile(name)
-        docs[name] = {e.id: tokenize(e.text, profile) for e in corpus}
+        docs[name] = [tokenize(e.text, profile) for e in corpus]
     groups: dict[PipelineConfig, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(replace(config, tune_threshold=False), []).append(i)
     splits = []
     for f in range(n_folds):
-        train_ids = [i for i in all_ids if folds.assignment[i] != f]
-        eval_ids = [i for i in all_ids if folds.assignment[i] == f]
-        y_train = np.array([labels[i] for i in train_ids], dtype=np.int8)
-        y_eval = np.array([labels[i] for i in eval_ids], dtype=np.int8)
-        splits.append((train_ids, eval_ids, y_train, y_eval))
+        train_pos, eval_pos = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+        splits.append((train_pos, eval_pos, labels[train_pos], labels[eval_pos]))
     state = _CrossValState(
         configs=configs,
         groups=tuple((config, tuple(members)) for config, members in groups.items()),
         splits=tuple(splits),
-        all_ids=all_ids,
         docs=docs,
         seed=seed,
     )
@@ -511,8 +505,6 @@ def cross_validate_all(
     return tuple(
         CrossValResult(
             config=config,
-            n_folds=n_folds,
-            seed=seed,
             folds=tuple(results),
             aggregate=aggregate_reports([fr.report for fr in results]),
         )

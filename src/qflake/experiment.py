@@ -183,12 +183,12 @@ def pipeline_config_for(
 def _row_from_outcome(
     dataset_mode: str, method: str, family: str, outcome: CrossValResult
 ) -> ResultRow:
-    profile, smote, tuned = _METHOD_WIRING[method]
+    config = outcome.config
     metadata = {
-        "profile": profile,
-        "smote": smote,
-        "threshold_mode": "tuned" if tuned else "fixed",
-        "pca_requested": outcome.config.pca_components,
+        "profile": config.profile_name,
+        "smote": config.smote,
+        "threshold_mode": config.threshold_mode,
+        "pca_requested": config.pca_components,
         "pca_effective_per_fold": [fr.pca_effective for fr in outcome.folds],
         "smote_synthetic_per_fold": [fr.smote_synthetic for fr in outcome.folds],
         "selected_threshold_per_fold": [fr.threshold for fr in outcome.folds],
@@ -199,7 +199,7 @@ def _row_from_outcome(
         "vocab_size_per_fold": [fr.vocab_size for fr in outcome.folds],
         "per_fold_metrics": [fr.report.values() for fr in outcome.folds],
         "per_fold_flags": [sorted(fr.report.flags) for fr in outcome.folds],
-        "hyperparameters": dict(outcome.config.hyperparameters),
+        "hyperparameters": dict(config.hyperparameters),
     }
     return ResultRow(
         dataset_mode=dataset_mode,

@@ -80,19 +80,10 @@ class Vocabulary:
 class DocTermMatrix:
     """Dense document-term count matrix; rows follow the input doc order."""
 
-    counts: np.ndarray  # (rows, cols) int64
-    row_ids: tuple[str, ...]
+    counts: np.ndarray  # (documents, vocabulary size) int64
 
     def __post_init__(self):
         self.counts.setflags(write=False)
-
-    @property
-    def rows(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.counts.shape[1]
 
 
 def fit_vocabulary(docs) -> Vocabulary:
@@ -106,7 +97,7 @@ def fit_vocabulary(docs) -> Vocabulary:
     return Vocabulary(ordered_tokens=tuple(sorted(tokens)))
 
 
-def transform(docs, vocab: Vocabulary, row_ids=None) -> DocTermMatrix:
+def transform(docs, vocab: Vocabulary) -> DocTermMatrix:
     """Count in-vocabulary token occurrences per document.
 
     Tokens absent from the vocabulary are ignored, so documents seen only
@@ -125,6 +116,4 @@ def transform(docs, vocab: Vocabulary, row_ids=None) -> DocTermMatrix:
     counts = np.bincount(
         np.array(cells, dtype=np.int64), minlength=len(docs) * width
     ).astype(np.int64, copy=False).reshape(len(docs), width)
-    if row_ids is None:
-        row_ids = tuple(str(i) for i in range(len(docs)))
-    return DocTermMatrix(counts=counts, row_ids=tuple(row_ids))
+    return DocTermMatrix(counts=counts)

@@ -9,7 +9,7 @@ import pytest
 from qflake import cli, linalg
 from qflake.bundle import FORMAT_VERSION, ModelBundle, train_bundle
 from qflake.classifiers.tree import FlatTrees
-from qflake.corpus import Corpus, Label
+from qflake.corpus import Corpus, Label, load_manifest
 from qflake.eval import PipelineConfig
 from qflake.synthetic import generate_corpus
 
@@ -116,9 +116,8 @@ class TestBundle:
     def test_out_of_vocabulary_text_is_scored(self, tiny_corpus):
         config = PipelineConfig.from_profile("dt", "paper_vanilla")
         bundle = train_bundle(tiny_corpus, config, seed=2)
-        scores, labels = bundle.predict_texts(["zzz unseen tokens only"])
-        assert 0.0 <= scores[0] <= 1.0
-        assert labels[0] in ("flaky", "nonflaky")
+        scores = bundle.score_texts(["zzz unseen tokens only"])
+        assert scores.shape == (1,) and 0.0 <= scores[0] <= 1.0
 
     def test_smote_recorded_in_metadata(self, tiny_corpus):
         config = PipelineConfig.from_profile("xgb", "paper_smote", smote=True)
@@ -164,6 +163,37 @@ class TestCliIngest:
     def test_validate_good_manifest(self, tiny_manifest):
         proc = run_cli("ingest", "--manifest", tiny_manifest)
         assert proc.returncode == 0
+
+
+# ingest case -> (its arguments, the manifest it writes), relative to a
+# directory holding a generated corpus under corpus/
+INGEST_OUTS = {
+    "root-out-outside": (["--root", "corpus", "--out", "other/m.jsonl"], "other/m.jsonl"),
+    "root-out-in-subdirectory": (
+        ["--root", "corpus", "--out", "corpus/sub/m.jsonl"], "corpus/sub/m.jsonl"
+    ),
+    "root-no-out": (["--root", "corpus"], "corpus/manifest.jsonl"),
+    "manifest-out-outside": (
+        ["--manifest", "corpus/manifest.jsonl", "--out", "other/m.jsonl"], "other/m.jsonl"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INGEST_OUTS))
+def test_ingested_manifest_loads_the_corpus(case, tmp_path, monkeypatch, capsys):
+    """Wherever ``ingest`` writes its manifest, each path in it is relative
+    to the manifest's own directory, so the manifest loads, and ingests
+    again, as the corpus it was made from. With no --out, ``--root``
+    writes the manifest the generator writes, byte for byte."""
+    generated = generate_corpus(tmp_path / "corpus", n_flaky=3, n_nonflaky=5, seed=4)
+    expected, corpus_hash = generated.read_bytes(), load_manifest(generated).content_hash()
+    monkeypatch.chdir(tmp_path)
+    args, written = INGEST_OUTS[case]
+    assert cli.main(["ingest", *args]) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == f"3 flaky / 5 nonflaky (8 entries)\nmanifest: {written}\n"
+    assert load_manifest(written).content_hash() == corpus_hash
+    assert cli.main(["ingest", "--manifest", written]) == 0
+    assert generated.read_bytes() == expected
 
 
 class TestCliTrainPredict:
@@ -239,6 +269,13 @@ class TestCliEvaluateExperiment:
         report = json.loads((out / "report.json").read_text())
         assert len(report["folds"]) == 4
         assert (out / "report.csv").exists()
+        # with no --out, the report goes to stdout
+        proc = run_cli(
+            "evaluate", "--manifest", tiny_manifest, "--family", "dt",
+            "--folds", 4, "--seed", 3,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (out / "report.json").read_text()
 
     def test_evaluate_config_file_precedence(self, tiny_manifest, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -505,6 +542,20 @@ def _validated_with(tmp_path, line):
     return ["ingest", "--manifest", manifest]
 
 
+def _manifest_of(tmp_path, text):
+    """``ingest --manifest`` of a manifest that holds ``text``."""
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(text)
+    return ["ingest", "--manifest", manifest]
+
+
+def _config_at(tmp_path, name):
+    """``train`` on a trainable manifest, with --config naming ``name``."""
+    manifest = _trainable_manifest(tmp_path)
+    return ["train", "--manifest", manifest, "--family", "dt", "--out", tmp_path / "b.json",
+            "--config", tmp_path / name]
+
+
 def _trained_with_config(tmp_path, text):
     """``train --family xgb`` on a trainable manifest, with a --config file
     holding ``text``."""
@@ -578,6 +629,7 @@ MALFORMED_INPUTS = {
     "record-is-json-array": (_manifest_with, '["b", "a.py", "flaky"]'),
     "record-invalid-json": (_manifest_with, '{"id": "b", "path"'),
     "record-id-nan": (_validated_with, '{"id": NaN, "path": "a.py", "label": "nonflaky"}'),
+    "manifest-blank-lines": (_manifest_of, "\n  \n\t\n"),
     "bundle-not-json": (_bundle_with, "not json at all"),
     "bundle-missing-keys": (_bundle_with, f'{{"format_version": {FORMAT_VERSION}}}'),
     "bundle-format-version-1": (_edited_bundle, ("knn", _to_format_1)),
@@ -676,6 +728,8 @@ MALFORMED_INPUTS = {
     ),
     "config-models-not-list": (_configured, ("experiment", {"models": "dt"})),
     "config-pca-zero": (_configured, ("train", {"pca": 0})),
+    "config-seed-negative": (_configured, ("train", {"seed": -1})),
+    "config-file-missing": (_config_at, "missing.json"),
     "config-hyperparameter-infinity": (
         _trained_with_config, '{"hyperparameters": {"learning_rate": Infinity}}'
     ),
@@ -736,10 +790,13 @@ MALFORMED_MESSAGES = {
     "bundle-xgb-learning-rate-string": "xgb learning_rate must be a finite number, got '0.3'",
     "bundle-xgb-prior-out-of-range": "xgb prior must be in [0, 1], got 7.0",
     "record-id-nan": "m.jsonl:2: invalid JSON (NaN is not a JSON number)",
+    "manifest-blank-lines": "invalid manifest: no entries",
     "config-hyperparameter-infinity": "is not valid JSON: Infinity is not a JSON number",
     "config-hyperparameter-overflow": "xgb: invalid value for 'learning_rate': inf",
     "config-nested-too-deep": "is not valid JSON: maximum recursion depth exceeded",
     "config-pca-zero": "--pca expects a positive integer or 'none', got 0",
+    "config-seed-negative": "error: --seed must be non-negative",
+    "config-file-missing": "error: config file not found: ",
     "config-key-unknown": "cfg.json: unknown key(s) 'seeed', 'fold'; known keys: seed, folds,",
     "argv-family-unknown": "error: argument --family: invalid choice: 'bogus'",
     "argv-no-command": "error: the following arguments are required: command",
@@ -765,9 +822,11 @@ def test_malformed_input_exits_2_with_one_line(case, tmp_path):
 
 @pytest.mark.parametrize("family", ["dt", "rf", "xgb", "xgb-one-class", "knn", "svm"])
 def test_model_echo_fields_are_ignored_on_load(family, tmp_path, capsys):
-    """A model payload holds no ``params``, ``seed`` or ``flags``. A bundle
-    that holds them again, as bundles written before held them or as junk,
-    predicts bit for bit as the bundle without them, and saves without them."""
+    """A model payload holds no ``params``, ``seed`` or ``flags``, and the
+    metadata no ``effective_config`` copy of the pipeline settings. A
+    bundle that holds them again, as bundles written before held them or
+    as junk, predicts bit for bit as the bundle without them; it saves
+    without the model fields and with its metadata as it was."""
     one_class = family == "xgb-one-class"
     manifest = _trainable_manifest(tmp_path, ("nonflaky",) * 6 if one_class else _TWO_FLAKY)
     sources = [str(p) for p in sorted(tmp_path.glob("t*.py"))]
@@ -779,15 +838,50 @@ def test_model_echo_fields_are_ignored_on_load(family, tmp_path, capsys):
     data = json.loads(plain.read_text())
     assert not {"params", "seed", "flags"} & data["model"].keys()
     metadata = data["metadata"]
+    assert "effective_config" not in metadata
     written = {"params": metadata["hyperparameters"], "seed": metadata["seed"],
                "flags": ["degenerate_labels"] if one_class else []}
+    settings = {"family": metadata["family"], "profile": metadata["profile"],
+                "hyperparameters": metadata["hyperparameters"],
+                "pca_components": metadata["pca_requested"], "smote": metadata["smote"],
+                "threshold_mode": metadata["threshold_mode"], "tokenizer": data["tokenizer"]}
     echoed = tmp_path / "echoed.json"
-    for echo in [written, *({key: junk for key in written} for junk in ("x", [], {}, 10**400))]:
-        data["model"].update(echo)
+    junk = ("x", [], {}, 10**400)
+    for model_echo, settings_echo in [
+        (written, settings), *(({key: j for key in written}, j) for j in junk)
+    ]:
+        data["model"].update(model_echo)
+        metadata["effective_config"] = settings_echo
         echoed.write_text(json.dumps(data))
         assert cli.main(["predict", "--bundle", str(echoed), *sources]) == 0
         assert capsys.readouterr().out == expected
-        assert ModelBundle.load(echoed).to_json() == plain.read_text()
+        loaded = ModelBundle.load(echoed)
+        assert loaded.metadata.pop("effective_config") == settings_echo
+        assert loaded.to_json() == plain.read_text()
+
+
+@pytest.mark.parametrize("given_by", ["option", "config"])
+def test_pca_none_fits_without_pca(given_by, tmp_path, capsys):
+    """``--pca none``, or ``"pca": "none"`` in --config, drops the PCA
+    step of knn, whose profile has one: the bundle holds no PCA and its
+    model takes the counts; evaluate keeps no component in any fold."""
+    manifest = _trainable_manifest(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pca": "none"}))
+    option = {"option": ["--pca", "none"], "config": ["--config", str(cfg)]}[given_by]
+    bundle = tmp_path / "knn.json"
+    assert cli.main(["train", "--manifest", str(manifest), "--family", "knn", *option,
+                     "--out", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    assert data["pca"] is None
+    assert data["metadata"]["pca_requested"] is data["metadata"]["pca_effective"] is None
+    assert ModelBundle.load(bundle).pipeline.model.n_features == len(data["vocabulary"])
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--family", "knn",
+                     "--folds", "2", *option]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["pca_components"] is None
+    assert [fold["pca_effective"] for fold in report["folds"]] == [None, None]
 
 
 def test_in_process_calls_share_no_parser_state(tiny_manifest, tmp_path, capsys):

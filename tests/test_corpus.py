@@ -256,7 +256,7 @@ class TestStratifiedFolds:
         flaky_counts = Counter()
         nonflaky_counts = Counter()
         for e in corpus:
-            f = folds.assignment[e.id]
+            f = folds[e.id]
             (flaky_counts if e.label is Label.FLAKY else nonflaky_counts)[f] += 1
         assert sorted(flaky_counts.values()) == [9, 9, 9, 9, 9]
         assert sorted(nonflaky_counts.values()) == [48, 48, 49, 49, 49]
@@ -264,7 +264,7 @@ class TestStratifiedFolds:
     def test_exact_division(self):
         corpus = make_corpus(10, 10)
         folds = stratified_folds(corpus, 5, seed=0)
-        per_fold = Counter(folds.assignment.values())
+        per_fold = Counter(folds.values())
         assert all(v == 4 for v in per_fold.values())
 
     def test_too_few_samples(self):
@@ -294,10 +294,10 @@ class TestStratifiedFolds:
         corpus = make_corpus(n_flaky, n_nonflaky)
         folds = stratified_folds(corpus, n_folds, seed)
         # union of folds is the corpus, folds pairwise disjoint
-        assert set(folds.assignment) == set(corpus.ids())
+        assert set(folds) == set(corpus.ids())
         for label in (Label.FLAKY, Label.NONFLAKY):
             counts = Counter(
-                folds.assignment[e.id] for e in corpus if e.label is label
+                folds[e.id] for e in corpus if e.label is label
             )
             sizes = [counts.get(f, 0) for f in range(n_folds)]
             assert max(sizes) - min(sizes) <= 1

@@ -97,12 +97,6 @@ class TestTransform:
         m = transform([["zz", "yy"]], vocab)
         assert m.counts.tolist() == [[0]]
 
-    def test_row_ids_preserved(self):
-        vocab = fit_vocabulary([["a"]])
-        m = transform([["a"], ["a"]], vocab, row_ids=("x", "y"))
-        assert m.row_ids == ("x", "y")
-        assert m.rows == 2 and m.cols == 1
-
 
 token_lists = st.lists(
     st.lists(st.text(alphabet="abcde_", min_size=1, max_size=6), max_size=12),

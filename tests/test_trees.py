@@ -48,7 +48,7 @@ def fold0_training_matrix(corpus, smote):
     """Count matrix and labels of fold 0's training rows (4 folds, seed
     3), after SMOTE when ``smote``."""
     folds = stratified_folds(corpus, 4, seed=3)
-    train = [e for e in corpus if folds.assignment[e.id] != 0]
+    train = [e for e in corpus if folds[e.id] != 0]
     docs = [tokenize(e.text) for e in train]
     X = transform(docs, fit_vocabulary(docs)).counts.astype(np.float64)
     y = np.array([e.label is Label.FLAKY for e in train], dtype=np.int8)

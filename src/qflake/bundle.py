@@ -34,7 +34,7 @@ break byte-identical reruns.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -203,13 +203,10 @@ def train_bundle(corpus: Corpus, config: PipelineConfig, seed: int = 0) -> Model
 
     Threshold tuning, when requested, scores a seeded stratified 20%
     subset of the corpus; the model itself always trains on every row.
-    With no evaluation fold, ``tune_on_eval_fold`` does not apply.
     """
     profile = get_tokenizer_profile(config.tokenizer)
     docs = [tokenize(e.text, profile) for e in corpus]
-    fitted = fit_pipeline(
-        docs, corpus.labels(), replace(config, tune_on_eval_fold=False), seed, "full"
-    )
+    fitted = fit_pipeline(docs, corpus.labels(), config, seed, "full")
     metadata = {
         "family": config.family,
         "profile": config.profile_name,

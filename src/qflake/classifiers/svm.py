@@ -27,11 +27,9 @@ from .base import (
     validate_params,
 )
 
-_SVM_PARAMS = {
-    "C": (REQUIRED, lambda v: finite_number(v) and v > 0),
-    "max_epochs": (1000, lambda v: isinstance(v, int) and v >= 1),
-    "tol": (1e-6, lambda v: finite_number(v) and v > 0),
-}
+_SVM_PARAMS = {"C": (REQUIRED, lambda v: finite_number(v) and v > 0)}
+MAX_EPOCHS = 1000
+TOL = 1e-6  # stop once no projected gradient exceeds it
 
 
 @dataclass
@@ -71,12 +69,11 @@ class LinearSvmModel:
 
 def train_svm(X, y, params=None, seed=0) -> LinearSvmModel:
     X, y = check_training_data(X, y)
-    resolved = validate_params("svm", params or {}, _SVM_PARAMS)
+    C = float(validate_params("svm", params or {}, _SVM_PARAMS)["C"])
     classes = np.unique(y)
     if len(classes) < 2:
         raise PipelineError("SVM training needs both classes present")
 
-    C = float(resolved["C"])
     n = X.shape[0]
     Xa = np.hstack([X, np.ones((n, 1))])
     # Python floats for the per-coordinate scalars and one in-place update
@@ -89,7 +86,7 @@ def train_svm(X, y, params=None, seed=0) -> LinearSvmModel:
     alpha = [0.0] * n
     w = np.zeros(Xa.shape[1], dtype=np.float64)
     rng = rng_for(seed, STREAM_MODEL)
-    for _ in range(resolved["max_epochs"]):
+    for _ in range(MAX_EPOCHS):
         worst = 0.0
         for i in rng.permutation(n).tolist():
             a = alpha[i]
@@ -106,6 +103,6 @@ def train_svm(X, y, params=None, seed=0) -> LinearSvmModel:
                 if updated != a:
                     w += (updated - a) * yy[i] * rows[i]
                     alpha[i] = updated
-        if worst < resolved["tol"]:
+        if worst < TOL:
             break
     return LinearSvmModel(w=w[:-1].copy(), b=float(w[-1]))

@@ -33,6 +33,7 @@ from .corpus import (
     SubsetMode,
     load_manifest,
     parse_manifest,
+    parse_records,
     read_source,
     scan_tree,
     select_subset,
@@ -183,8 +184,10 @@ def _load_config_file(path: Path | None) -> dict:
         ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
         if ok and choices is not None:
             ok = all(v in choices for v in (value if kind is list else [value]))
+        expected = _TYPE_NAMES[kind] + (f" from {list(choices)}" if choices else "")
+        if ok and key == "seed" and value < 0:
+            ok, expected = False, "a non-negative integer"
         if not ok:
-            expected = _TYPE_NAMES[kind] + (f" from {list(choices)}" if choices else "")
             raise QflakeError(f"config file {path}: {key!r} must be {expected}, got {value!r}")
     return loaded
 
@@ -194,11 +197,11 @@ def _resolve_settings(args) -> None:
     command-line value, else its --config value, else its default. A
     --config key of another command is accepted and not read."""
     file_config = _load_config_file(getattr(args, "config", None))
+    if (getattr(args, "seed", None) or 0) < 0:
+        raise QflakeError("--seed must be non-negative")
     for key, setting in _FILE_KEYS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, file_config.get(key, setting.default))
-    if getattr(args, "seed", 0) < 0:
-        raise QflakeError("--seed must be non-negative")
 
 
 def _pca_components(value, default):
@@ -219,16 +222,14 @@ def _pca_components(value, default):
 
 def _pipeline_from_args(args) -> PipelineConfig:
     """The pipeline train or evaluate fits: the profile's settings under
-    the command's. Only evaluate takes the --replicate-paper-* switches: a
-    bundle is fitted on the whole corpus, with no evaluation fold."""
+    the command's. The --replicate-paper-* switches of evaluate describe
+    its cross-validation, not the pipeline, and go to ``cross_validate``."""
     config = PipelineConfig.from_profile(
         args.family,
         args.profile or ("paper_smote" if args.smote else "paper_vanilla"),
         smote=args.smote,
         tune_threshold=args.tune_threshold,
         tokenizer=args.tokenizer,
-        fit_vocab_on_all=getattr(args, "replicate_paper_vectorization", False),
-        tune_on_eval_fold=getattr(args, "replicate_paper_threshold", False),
     )
     return replace(
         config,
@@ -271,42 +272,33 @@ def _write_manifest_at(records, manifest_path: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
+    """Check every record of the tree or manifest; only when all pass,
+    write them, in the order read, to ``--out`` (default: a tree's
+    ``manifest.jsonl``; a manifest is not rewritten in place)."""
     if args.out is not None:
         _prepare_out(args.out, directory=False)
     if args.root is not None:
-        records = scan_tree(args.root)
-        if not records:
-            print("no entries", file=sys.stderr)
-            return EXIT_VALIDATION
+        items = list(parse_records(((None, r) for r in scan_tree(args.root)), args.root))
         manifest_path = args.out or (args.root / "manifest.jsonl")
-        _write_manifest_at(
-            [{**r, "path": args.root / r["path"]} for r in records], manifest_path
-        )
-        corpus = load_manifest(manifest_path)
     else:
         items = list(parse_manifest(args.manifest))
-        issues = [i for i in items if isinstance(i, QflakeError)]
-        if not items:
-            issues = ["no entries"]
-        if issues:
-            for issue in issues:
-                print(f"invalid manifest: {issue}", file=sys.stderr)
-            return EXIT_VALIDATION
-        corpus = Corpus(tuple(items))
-        manifest_path = args.manifest
-        if args.out is not None:
-            _write_manifest_at(
-                [
-                    {"id": e.id, "path": e.path, "label": e.label.value, "repo": e.repo}
-                    for e in corpus
-                ],
-                args.out,
-            )
-            manifest_path = args.out
-    counts = corpus.class_counts
+        manifest_path = args.out or args.manifest
+    issues = [i for i in items if isinstance(i, QflakeError)]
+    if not items:
+        issues = ["no entries"]
+    if issues:
+        for issue in issues:
+            print(f"invalid manifest: {issue}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if manifest_path != args.manifest:
+        _write_manifest_at(
+            [{"id": e.id, "path": e.path, "label": e.label.value, "repo": e.repo} for e in items],
+            manifest_path,
+        )
+    counts = Corpus(tuple(items)).class_counts
     print(
         f"{counts[Label.FLAKY]} flaky / {counts[Label.NONFLAKY]} nonflaky "
-        f"({len(corpus)} entries)"
+        f"({len(items)} entries)"
     )
     print(f"manifest: {manifest_path}")
     return EXIT_OK
@@ -367,7 +359,10 @@ def cmd_evaluate(args) -> int:
         _prepare_out(args.out, directory=True)
     corpus = load_manifest(args.manifest)
     data = select_subset(corpus, SubsetMode(args.dataset), args.seed)
-    result = cross_validate(data, config, n_folds=args.folds, seed=args.seed)
+    result = cross_validate(
+        data, config, args.folds, args.seed,
+        args.replicate_paper_vectorization, args.replicate_paper_threshold,
+    )
     report = {
         "config": {
             "family": config.family,
@@ -377,8 +372,8 @@ def cmd_evaluate(args) -> int:
             "smote": config.smote,
             "threshold_mode": config.threshold_mode,
             "tokenizer": config.tokenizer,
-            "replicate_paper_vectorization": config.fit_vocab_on_all,
-            "replicate_paper_threshold": config.tune_on_eval_fold,
+            "replicate_paper_vectorization": args.replicate_paper_vectorization,
+            "replicate_paper_threshold": args.replicate_paper_threshold,
         },
         "seed": args.seed,
         "n_folds": args.folds,

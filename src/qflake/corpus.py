@@ -104,12 +104,14 @@ def read_source(path: Path) -> str:
         raise QflakeError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
-def _parse_record(line: str, base: Path, seen_ids: set) -> CorpusEntry:
-    """One manifest line to an entry, or the QflakeError that rejects it."""
-    try:
-        record = loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise QflakeError(f"invalid JSON ({exc})") from None
+def _parse_record(record, base: Path, seen_ids: set) -> CorpusEntry:
+    """One manifest record, a JSON line or a ``scan_tree`` dict, to an
+    entry, or the QflakeError that rejects it."""
+    if isinstance(record, str):
+        try:
+            record = loads(record)
+        except (ValueError, RecursionError) as exc:
+            raise QflakeError(f"invalid JSON ({exc})") from None
     if not isinstance(record, dict):
         raise QflakeError(f"record must be a JSON object, got {type(record).__name__}")
     missing = [k for k in ("id", "path", "label") if k not in record]
@@ -138,23 +140,27 @@ def _parse_record(line: str, base: Path, seen_ids: set) -> CorpusEntry:
     )
 
 
-def parse_manifest(manifest_path):
-    """Yield, for each non-blank line of a JSON Lines manifest, either its
+def parse_records(records, base: Path):
+    """Yield, for each ``(place, record)`` pair, either the record's
     CorpusEntry or the QflakeError that rejects it, prefixed with
-    ``path:line``.
-
-    Each record is ``{"id": ..., "path": ..., "label": "flaky"|"nonflaky",
-    "repo": ...}`` with ``path`` relative to the manifest's directory.
-    """
-    manifest_path = Path(manifest_path)
+    ``place`` unless that is None. A record is ``{"id": ..., "path": ...,
+    "label": "flaky"|"nonflaky", "repo": ...}`` or a JSON line of one,
+    its ``path`` relative to ``base``."""
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(read_source(manifest_path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for place, record in records:
         try:
-            yield _parse_record(line, manifest_path.parent, seen_ids)
+            yield _parse_record(record, base, seen_ids)
         except QflakeError as exc:
-            yield type(exc)(f"{manifest_path}:{lineno}: {exc}")
+            yield exc if place is None else type(exc)(f"{place}: {exc}")
+
+
+def parse_manifest(manifest_path):
+    """``parse_records`` of a JSON Lines manifest's non-blank lines, each
+    placed at ``path:line``, paths relative to the manifest's directory."""
+    manifest_path = Path(manifest_path)
+    lines = enumerate(read_source(manifest_path).splitlines(), start=1)
+    numbered = ((f"{manifest_path}:{n}", line) for n, line in lines if line.strip())
+    return parse_records(numbered, manifest_path.parent)
 
 
 def load_manifest(manifest_path) -> Corpus:

@@ -162,14 +162,12 @@ def tune_threshold(scores, y_true) -> ThresholdCurve:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one cross-validated pipeline run needs.
+    """Everything one pipeline fit reads.
 
     ``tune_threshold`` sweeps the decision threshold over the 0.1-0.9
-    grid instead of keeping 0.5. ``fit_vocab_on_all`` switches vocabulary
-    fitting from the training folds (leak-free default) to the whole
-    dataset; ``tune_on_eval_fold`` switches threshold tuning from an inner
-    training split to the evaluation fold. Both replicate the reference
-    protocol when enabled.
+    grid instead of keeping 0.5. How cross-validation fits the vocabulary
+    and where it tunes are arguments of ``cross_validate_all``, not
+    settings of a pipeline.
     """
 
     family: str
@@ -178,8 +176,6 @@ class PipelineConfig:
     smote: bool = False
     tune_threshold: bool = False
     tokenizer: str = "default"
-    fit_vocab_on_all: bool = False
-    tune_on_eval_fold: bool = False
     profile_name: str | None = None
 
     @classmethod
@@ -207,7 +203,6 @@ class FoldResult:
     threshold: float
     threshold_curve: ThresholdCurve | None
     n_train: int
-    n_eval: int
     vocab_size: int
     pca_effective: int | None
     smote_synthetic: int
@@ -296,9 +291,7 @@ def fit_pipeline(
     The vocabulary is fitted on ``vocab_docs`` when given, else on
     ``docs``. SMOTE always runs before PCA. Random streams derive from
     (seed, stage, tag). The threshold is 0.5, or with ``tune_threshold``
-    tuned on a seeded stratified 20% of the pre-SMOTE training rows,
-    unless ``tune_on_eval_fold`` leaves tuning to the caller's evaluation
-    fold.
+    tuned on a seeded stratified 20% of the pre-SMOTE training rows.
     """
     vocab = fit_vocabulary(docs if vocab_docs is None else vocab_docs)
     if not len(vocab):
@@ -335,7 +328,7 @@ def fit_pipeline(
         curve=None,
         smote_synthetic=smote_synthetic,
     )
-    if config.tune_threshold and not config.tune_on_eval_fold:
+    if config.tune_threshold:
         positions = _tuning_subset_positions(y, seed, tag)
         fitted = fitted.tuned(fitted.score_counts(X[positions]), y[positions])
     return fitted
@@ -346,14 +339,16 @@ class _CrossValState:
     """What every (fold, group) fit of one ``cross_validate_all`` call reads:
     the configs, the groups of configs sharing one model (a config with
     ``tune_threshold`` off, and its members' indices), each fold's training
-    and held-out corpus positions and labels, and per tokenizer profile the
-    tokenized documents in corpus order."""
+    and held-out corpus positions and labels, per tokenizer profile the
+    tokenized documents in corpus order, and the call's protocol switches."""
 
     configs: tuple[PipelineConfig, ...]
     groups: tuple[tuple[PipelineConfig, tuple[int, ...]], ...]
     splits: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     docs: dict[str, list[list[str]]]
     seed: int
+    fit_vocab_on_all: bool
+    tune_on_eval_fold: bool
 
 
 def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
@@ -367,11 +362,11 @@ def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
     tuned = [state.configs[i].tune_threshold for i in members]
     fitted = fit_pipeline(
         [tokens[i] for i in train_pos], y_train,
-        replace(config, tune_threshold=any(tuned)), state.seed, f,
-        tokens if config.fit_vocab_on_all else None,
+        replace(config, tune_threshold=any(tuned) and not state.tune_on_eval_fold),
+        state.seed, f, tokens if state.fit_vocab_on_all else None,
     )
     eval_scores = fitted.score([tokens[i] for i in eval_pos])
-    if any(tuned) and config.tune_on_eval_fold:
+    if any(tuned) and state.tune_on_eval_fold:
         fitted = fitted.tuned(eval_scores, y_eval)
     results = []
     for tune in tuned:
@@ -385,7 +380,6 @@ def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
                 threshold=threshold,
                 threshold_curve=curve,
                 n_train=len(train_pos),
-                n_eval=len(eval_pos),
                 vocab_size=len(fitted.vocabulary),
                 pca_effective=fitted.pca_effective,
                 smote_synthetic=fitted.smote_synthetic,
@@ -460,18 +454,21 @@ def _fit_cells(state: _CrossValState, tasks) -> list[tuple[FoldResult, ...]]:
 
 
 def cross_validate_all(
-    corpus: Corpus, configs, n_folds: int = 5, seed: int = 0
+    corpus: Corpus, configs, n_folds: int = 5, seed: int = 0,
+    fit_vocab_on_all: bool = False, tune_on_eval_fold: bool = False,
 ) -> tuple[CrossValResult, ...]:
     """Stratified k-fold evaluation of several pipeline configurations on
-    the same folds; result i equals ``cross_validate(configs[i])`` run alone.
+    the same folds; result i equals ``cross_validate(configs[i])`` run
+    alone with the same switches. The switches replay the reference
+    protocol for every config: ``fit_vocab_on_all`` fits the vocabulary
+    on every fold, ``tune_on_eval_fold`` tunes on the held-out fold.
 
     Each document is tokenized once per tokenizer profile. Configs that
     differ only in ``tune_threshold`` share one model per fold: one
-    ``fit_pipeline`` on the training folds (seed tag = fold index;
-    vocabulary from every fold when ``fit_vocab_on_all``) and one scoring
-    of the held-out fold. Each config then takes its threshold: 0.5,
-    tuned on the inner training split, or tuned on the held-out fold when
-    ``tune_on_eval_fold``. Each model is freed before its task returns.
+    ``fit_pipeline`` on the training folds (seed tag = fold index) and
+    one scoring of the held-out fold. Each config then takes its
+    threshold: 0.5, tuned on the inner training split, or tuned on the
+    held-out fold. Each model is freed before its task returns.
     The (fold, group) fits run on one worker process per usable CPU;
     results do not depend on the worker count.
     """
@@ -496,6 +493,8 @@ def cross_validate_all(
         splits=tuple(splits),
         docs=docs,
         seed=seed,
+        fit_vocab_on_all=fit_vocab_on_all,
+        tune_on_eval_fold=tune_on_eval_fold,
     )
     tasks = [(f, g) for f in range(n_folds) for g in range(len(state.groups))]
     fold_results = tuple([] for _ in configs)
@@ -513,10 +512,13 @@ def cross_validate_all(
 
 
 def cross_validate(
-    corpus: Corpus, config: PipelineConfig, n_folds: int = 5, seed: int = 0
+    corpus: Corpus, config: PipelineConfig, n_folds: int = 5, seed: int = 0,
+    fit_vocab_on_all: bool = False, tune_on_eval_fold: bool = False,
 ) -> CrossValResult:
     """Stratified k-fold evaluation of one pipeline configuration: the
-    one-config case of ``cross_validate_all``.
+    one-config case of ``cross_validate_all``, with the same switches.
     """
-    (result,) = cross_validate_all(corpus, (config,), n_folds=n_folds, seed=seed)
+    (result,) = cross_validate_all(
+        corpus, (config,), n_folds, seed, fit_vocab_on_all, tune_on_eval_fold
+    )
     return result

@@ -161,22 +161,10 @@ class ResultsTable:
         raise KeyError(f"no row for ({method}, {family})")
 
 
-def pipeline_config_for(
-    method: str,
-    family: str,
-    tokenizer: str = "default",
-    fit_vocab_on_all: bool = False,
-    tune_on_eval_fold: bool = False,
-) -> PipelineConfig:
+def pipeline_config_for(method: str, family: str, tokenizer: str = "default") -> PipelineConfig:
     profile, smote, tuned = _METHOD_WIRING[method]
     return PipelineConfig.from_profile(
-        family,
-        profile,
-        smote=smote,
-        tune_threshold=tuned,
-        tokenizer=tokenizer,
-        fit_vocab_on_all=fit_vocab_on_all,
-        tune_on_eval_fold=tune_on_eval_fold,
+        family, profile, smote=smote, tune_threshold=tuned, tokenizer=tokenizer
     )
 
 
@@ -218,21 +206,23 @@ def _table(
     families: tuple[str, ...],
     seed: int,
     n_folds: int,
-    **settings,
+    tokenizer: str,
+    **switches,
 ) -> ResultsTable:
     """One results table: rows methods outer, families inner, every cell
     cross-validated on the same folds of the ``dataset_mode`` subset by one
-    ``cross_validate_all`` call, with ``settings`` passed on to
-    ``pipeline_config_for``. The whole table is built before anything is
-    returned; a failure in any cell aborts it.
+    ``cross_validate_all`` call, which takes the protocol ``switches``.
+    The whole table is built before anything is returned; a failure in
+    any cell aborts it.
     """
     data = select_subset(corpus, SubsetMode(dataset_mode), seed)
     cells = [(m, f) for m in methods for f in families]
     outcomes = cross_validate_all(
         data,
-        [pipeline_config_for(m, f, **settings) for m, f in cells],
+        [pipeline_config_for(m, f, tokenizer) for m, f in cells],
         n_folds=n_folds,
         seed=seed,
+        **switches,
     )
     rows = [
         _row_from_outcome(dataset_mode, m, f, outcome)
@@ -244,7 +234,8 @@ def _table(
         "families": list(families),
         "seed": seed,
         "n_folds": n_folds,
-        **settings,
+        "tokenizer": tokenizer,
+        **switches,
         "corpus_hash": corpus.content_hash(),
         "dataset_hash": data.content_hash(),
         "class_counts": {k.value: v for k, v in data.class_counts.items()},

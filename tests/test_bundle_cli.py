@@ -10,7 +10,9 @@ from qflake import cli, linalg
 from qflake.bundle import FORMAT_VERSION, ModelBundle, train_bundle
 from qflake.classifiers.tree import FlatTrees
 from qflake.corpus import Corpus, Label, load_manifest
-from qflake.eval import PipelineConfig
+from qflake.eval import PipelineConfig, cross_validate
+from qflake.experiment import run_paper_suite, table_to_dict
+from qflake.jsonio import dumps
 from qflake.synthetic import generate_corpus
 
 from recursive_predict import node_to_dict
@@ -163,6 +165,23 @@ class TestCliIngest:
     def test_validate_good_manifest(self, tiny_manifest):
         proc = run_cli("ingest", "--manifest", tiny_manifest)
         assert proc.returncode == 0
+
+    def test_failed_root_ingest_writes_nothing(self, tmp_path, capsys):
+        """``ingest --root`` checks every file before it writes: a tree
+        with an empty file and a non-UTF-8 one lists both and exits 2, and
+        the good manifest already there keeps its bytes."""
+        manifest = generate_corpus(tmp_path / "c", n_flaky=2, n_nonflaky=3, seed=1)
+        before = manifest.read_bytes()
+        (tmp_path / "c" / "nonflaky" / "empty.py").write_text("")
+        (tmp_path / "c" / "flaky" / "bad.py").write_bytes(b"\xff\xfe")
+        assert cli.main(["ingest", "--root", str(tmp_path / "c")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("invalid manifest: ")
+        assert lines[0].endswith("bad.py: not valid UTF-8 ('utf-8' codec can't decode "
+                                 "byte 0xff in position 0: invalid start byte)")
+        assert lines[1] == f"invalid manifest: {tmp_path}/c/nonflaky/empty.py: file is empty"
+        assert manifest.read_bytes() == before
 
 
 # ingest case -> (its arguments, the manifest it writes), relative to a
@@ -328,6 +347,58 @@ class TestCliEvaluateExperiment:
         assert outs[0].keys() == outs[1].keys()
         for name in outs[0]:
             assert outs[0][name] == outs[1][name], f"{name} differs between reruns"
+
+
+@pytest.mark.parametrize(
+    "switch, fold_key, flag",
+    [("threshold", "threshold", "tune_on_eval_fold"),
+     ("vectorization", "vocab_size", "fit_vocab_on_all")],
+)
+def test_evaluate_replicate_switch_reaches_cross_validation(
+    switch, fold_key, flag, tiny_corpus, tiny_manifest, tmp_path
+):
+    """``evaluate --replicate-paper-<switch>`` cross-validates as
+    ``cross_validate`` with ``flag`` on, and its report records the
+    switch. svm, because its folds pick other thresholds with the switch
+    on than off here (dt picks 0.1 in every fold either way)."""
+    out = tmp_path / "eval"
+    assert cli.main([
+        "evaluate", "--manifest", str(tiny_manifest), "--family", "svm", "--tune-threshold",
+        f"--replicate-paper-{switch}", "--folds", "4", "--seed", "5", "--out", str(out),
+    ]) == 0
+    report = json.loads((out / "report.json").read_text())
+    config = PipelineConfig.from_profile("svm", "paper_vanilla", tune_threshold=True)
+    switched = cross_validate(tiny_corpus, config, n_folds=4, seed=5, **{flag: True})
+    leak_free = cross_validate(tiny_corpus, config, n_folds=4, seed=5)
+    written = [fold[fold_key] for fold in report["folds"]]
+    assert written == [getattr(fr, fold_key) for fr in switched.folds]
+    assert written != [getattr(fr, fold_key) for fr in leak_free.folds]
+    assert report["config"] == {
+        **report["config"],
+        "replicate_paper_threshold": switch == "threshold",
+        "replicate_paper_vectorization": switch == "vectorization",
+    }
+
+
+def test_experiment_replicate_switches_reach_every_table(tiny_corpus, tiny_manifest, tmp_path):
+    """``experiment`` with both --replicate-paper-* switches writes the
+    tables ``run_paper_suite`` makes with both on, each table's metadata
+    recording them."""
+    out = tmp_path / "results"
+    assert cli.main([
+        "experiment", "--manifest", str(tiny_manifest), "--folds", "4", "--seed", "5",
+        "--replicate-paper-vectorization", "--replicate-paper-threshold", "--out", str(out),
+    ]) == 0
+    run = json.loads((next(out.iterdir()) / "run.json").read_text())
+    tables = run_paper_suite(
+        tiny_corpus, seed=5, n_folds=4, fit_vocab_on_all=True, tune_on_eval_fold=True
+    )
+    assert run["tables"].keys() == tables.keys()
+    for key, table in tables.items():
+        written = run["tables"][key]
+        assert written["metadata"]["fit_vocab_on_all"] is True
+        assert written["metadata"]["tune_on_eval_fold"] is True
+        assert written["rows"] == json.loads(dumps(table_to_dict(table)))["rows"]
 
 
 def _manifest_with(tmp_path, line):
@@ -729,6 +800,7 @@ MALFORMED_INPUTS = {
     "config-models-not-list": (_configured, ("experiment", {"models": "dt"})),
     "config-pca-zero": (_configured, ("train", {"pca": 0})),
     "config-seed-negative": (_configured, ("train", {"seed": -1})),
+    "cli-seed-negative": (_plus, (_configured, ("train", {}), ["--seed", -1])),
     "config-file-missing": (_config_at, "missing.json"),
     "config-hyperparameter-infinity": (
         _trained_with_config, '{"hyperparameters": {"learning_rate": Infinity}}'
@@ -795,7 +867,8 @@ MALFORMED_MESSAGES = {
     "config-hyperparameter-overflow": "xgb: invalid value for 'learning_rate': inf",
     "config-nested-too-deep": "is not valid JSON: maximum recursion depth exceeded",
     "config-pca-zero": "--pca expects a positive integer or 'none', got 0",
-    "config-seed-negative": "error: --seed must be non-negative",
+    "config-seed-negative": "cfg.json: 'seed' must be a non-negative integer, got -1",
+    "cli-seed-negative": "error: --seed must be non-negative",
     "config-file-missing": "error: config file not found: ",
     "config-key-unknown": "cfg.json: unknown key(s) 'seeed', 'fold'; known keys: seed, folds,",
     "argv-family-unknown": "error: argument --family: invalid choice: 'bogus'",

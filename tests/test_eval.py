@@ -215,7 +215,7 @@ class TestCrossValidate:
             train_flaky = n_flaky - round(n_flaky / 4)
             train_nonflaky = n_nonflaky - round(n_nonflaky / 4)
             assert abs(fr.smote_synthetic - (train_nonflaky - train_flaky)) <= 2
-            assert fr.n_eval + fr.n_train == len(tiny_corpus)
+            assert fr.cm.total + fr.n_train == len(tiny_corpus)
 
     def test_pca_clamped_to_training_rows(self, tiny_corpus):
         config = PipelineConfig.from_profile("svm", "paper_vanilla")
@@ -242,9 +242,8 @@ class TestCrossValidate:
             n_folds=4, seed=5,
         )
         full = cross_validate(
-            tiny_corpus,
-            PipelineConfig.from_profile("dt", "paper_vanilla", fit_vocab_on_all=True),
-            n_folds=4, seed=5,
+            tiny_corpus, PipelineConfig.from_profile("dt", "paper_vanilla"),
+            n_folds=4, seed=5, fit_vocab_on_all=True,
         )
         # fitting on every document can only grow the per-fold vocabulary
         for lf, fl in zip(leak_free.folds, full.folds):
@@ -263,12 +262,7 @@ class TestCrossValidate:
             assert fr.threshold_curve.best_f1 >= fr.threshold_curve.f1_at(0.5)
 
     def test_eval_fold_tuning_mode(self, tiny_corpus):
-        config = PipelineConfig.from_profile(
-            "dt",
-            "paper_vanilla",
-            tune_threshold=True,
-            tune_on_eval_fold=True,
-        )
-        result = cross_validate(tiny_corpus, config, n_folds=4, seed=5)
+        config = PipelineConfig.from_profile("dt", "paper_vanilla", tune_threshold=True)
+        result = cross_validate(tiny_corpus, config, n_folds=4, seed=5, tune_on_eval_fold=True)
         for fr in result.folds:
             assert fr.threshold_curve is not None

@@ -165,8 +165,8 @@ class TestSuite:
         assert len(rows) == 25
         for row in rows:
             data = select_subset(tiny_corpus, SubsetMode(row.dataset_mode), 5)
-            pipeline = pipeline_config_for(row.method, row.family, **flags)
-            alone = cross_validate(data, pipeline, n_folds=4, seed=5)
+            pipeline = pipeline_config_for(row.method, row.family)
+            alone = cross_validate(data, pipeline, n_folds=4, seed=5, **flags)
             assert row.mean == alone.aggregate.mean
             assert row.std == alone.aggregate.std
             key = (data.content_hash(), pipeline.profile_name, pipeline.smote,

@@ -33,7 +33,7 @@ for family in ("xgb", "dt", "rf", "knn", "svm"):
     curve = tune_threshold(scores, y[holdout])
     print(
         f"{family:6s} {report.accuracy:6.3f} {report.f1:6.3f} "
-        f"{curve.best_threshold:7.1f} {curve.best_f1:8.3f}"
+        f"{curve.best_threshold:7.1f} {dict(curve.grid)[curve.best_threshold]:8.3f}"
     )
 
 print("\nthreshold sweep for the last model (t, f1):")

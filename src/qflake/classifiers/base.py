@@ -47,6 +47,11 @@ def finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def integer_at_least(value, least: int) -> bool:
+    """An int, not a bool, of at least ``least``: JSON true is no count."""
+    return type(value) is int and value >= least
+
+
 REQUIRED = object()
 
 

@@ -15,12 +15,14 @@ import numpy as np
 
 from ..errors import QflakeError
 from ..seeding import STREAM_MODEL, rng_for
-from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
+from .base import (
+    REQUIRED, check_scoring_input, check_training_data, integer_at_least, validate_params
+)
 from .tree import _DT_PARAMS, FlatTrees, NodeArrays, SplitSearch, TreeNode, grow_class_tree
 
 # a decision tree's settings, and how many trees
 _RF_PARAMS = {
-    "n_estimators": (REQUIRED, lambda v: isinstance(v, int) and v >= 1),
+    "n_estimators": (REQUIRED, lambda v: integer_at_least(v, 1)),
     **_DT_PARAMS,
 }
 

@@ -14,10 +14,12 @@ import numpy as np
 
 from ..errors import PipelineError, QflakeError
 from ..linalg import decode_array, encode_array
-from .base import REQUIRED, check_scoring_input, check_training_data, validate_params
+from .base import (
+    REQUIRED, check_scoring_input, check_training_data, integer_at_least, validate_params
+)
 
 _KNN_PARAMS = {
-    "n_neighbors": (REQUIRED, lambda v: isinstance(v, int) and v >= 1),
+    "n_neighbors": (REQUIRED, lambda v: integer_at_least(v, 1)),
 }
 
 

@@ -15,14 +15,17 @@ that leave at least ``min_samples_leaf`` rows on each side are scored,
 each by three table lookups, so a gain is the same arithmetic on the same
 values as evaluating impurity at every row boundary would be.
 
-A tree lives only as node arrays from the moment it is grown. Growers
-append each node, in pre-order, to one ``NodeArrays`` per fit (a forest's
-trees and a boosting fit's rounds share it), and ``NodeArrays.flat``
-turns the lists into one ``FlatTrees``: parallel node arrays ``feature``,
-``threshold``, ``left``, ``right`` and ``value``, one root index per
-tree, and the deepest tree's depth. A leaf holds one value, its score.
-``TreeNode``s are only a read-only view that ``FlatTrees.to_nodes``
-rebuilds for ``.root`` and ``.trees``.
+A tree lives only as node arrays from the moment it is grown. One builder,
+``NodeArrays.grow``, appends every tree of a fit (a forest's trees and a
+boosting fit's rounds share one ``NodeArrays``) in pre-order with an
+explicit stack, so no tree is too deep to grow. A grower only says how
+to expand one node: into a leaf's value, or into a split and its two
+children (``grow_class_tree`` for dt and rf, ``ExactBins.grow`` for
+xgb). ``NodeArrays.flat`` turns the lists into one ``FlatTrees``:
+parallel node arrays ``feature``, ``threshold``, ``left``, ``right`` and
+``value``, one root index per tree, and the deepest tree's depth. A leaf
+holds one value, its score. ``TreeNode``s are only a read-only view that
+``FlatTrees.to_nodes`` rebuilds for ``.root`` and ``.trees``.
 
 Scoring moves every (tree, row) pair one level per step, all pairs at
 once: ``go = X[row, feature[node]] <= threshold[node]``, then ``node =
@@ -59,7 +62,7 @@ import numpy as np
 
 from ..errors import QflakeError
 from ..linalg import decode_array, encode_array
-from .base import check_scoring_input, check_training_data, validate_params
+from .base import check_scoring_input, check_training_data, integer_at_least, validate_params
 
 _GAIN_EPS = 1e-12
 
@@ -86,28 +89,38 @@ class TreeNode:
 
 class NodeArrays:
     """Trees as growers build them: parallel node lists in pre-order and
-    one root index per tree. A grower appends a tree's root index to
-    ``roots``, then its nodes with ``leaf`` and ``split``; once node
-    ``i``'s left subtree is done, it sets ``right[i]`` to the next index.
+    one root index per tree. ``grow`` is the one place that appends nodes
+    and patches ``right``.
     """
 
     def __init__(self):
         self.feature, self.threshold, self.right, self.value = [], [], [], []
         self.roots = []
 
-    def _add(self, feature, threshold, value) -> int:
-        i = len(self.right)
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.right.append(i)
-        self.value.append(value)
-        return i
-
-    def leaf(self, value) -> int:
-        return self._add(0, 0.0, value)
-
-    def split(self, feature, threshold) -> int:
-        return self._add(feature, threshold, 0.0)
+    def grow(self, root, expand) -> None:
+        """Append one tree in pre-order, expanding from ``root`` with an
+        explicit stack: ``expand(node)`` returns a leaf's value, or a
+        split's ``(feature, threshold, left, right)``, whose left subtree is
+        appended whole before its right child, which waits on the stack
+        with the index whose ``right`` it sets."""
+        self.roots.append(len(self.right))
+        stack = [(root, None)]
+        while stack:
+            node, parent = stack.pop()
+            i = len(self.right)
+            if parent is not None:
+                self.right[parent] = i
+            grown = expand(node)
+            if isinstance(grown, tuple):
+                feature, threshold, left, right = grown
+                stack += (right, i), (left, None)
+                value = 0.0
+            else:
+                feature, threshold, value = 0, 0.0, grown
+            self.feature.append(feature)
+            self.threshold.append(threshold)
+            self.right.append(i)
+            self.value.append(value)
 
     def flat(self) -> "FlatTrees":
         return FlatTrees._with_derived(
@@ -348,52 +361,43 @@ def grow_class_tree(
     max_features=None,
     rng=None,
 ) -> None:
-    """Greedy recursive partitioning of ``rows`` of the fit ``search``
-    was built on, with 0/1 labels, appended to ``nodes`` as one tree whose
-    leaves hold their flaky fraction. Rows may repeat, as in a bootstrap
-    sample.
+    """Greedy partitioning of ``rows`` of the fit ``search`` was built on,
+    with 0/1 labels, appended to ``nodes`` as one tree whose leaves hold
+    their flaky fraction. Rows may repeat, as in a bootstrap sample.
 
     ``max_features`` with a Generator samples that many candidate columns
-    per split (random-forest mode); otherwise all columns are considered.
+    per split (random-forest mode), one draw per node in pre-order;
+    otherwise all columns are considered.
     """
     columns, y = search.columns, search.y
     d = columns.shape[0]
     depth_cap = math.inf if max_depth is None else max_depth
 
-    def build(idx, depth):
+    def expand(node):
+        idx, depth = node
         n = len(idx)
         pos = np.count_nonzero(y[idx])
         if depth >= depth_cap or n < min_samples_split or pos in (0, n):
-            nodes.leaf(pos / n)
-            return
+            return pos / n
         if max_features is not None and max_features < d:
             feats = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             feats = np.arange(d)
         found = search.best_split(idx, feats, min_samples_leaf)
         if found is None:
-            nodes.leaf(pos / n)
-            return
+            return pos / n
         feature, threshold = found
         mask = columns[feature, idx] <= threshold
-        i = nodes.split(feature, threshold)
-        build(idx[mask], depth + 1)
-        nodes.right[i] = len(nodes.right)
-        build(idx[~mask], depth + 1)
+        return feature, threshold, (idx[mask], depth + 1), (idx[~mask], depth + 1)
 
-    nodes.roots.append(len(nodes.right))
-    build(rows, 0)
-    # build's closure holds build itself, so the cycle would keep the
-    # fit's matrices alive until the next garbage collection; a forest
-    # leaves one cycle per tree
-    del build
+    nodes.grow((rows, 0), expand)
 
 
 _DT_PARAMS = {
     "criterion": ("entropy", lambda v: v in CRITERIA),
-    "max_depth": (None, lambda v: v is None or (isinstance(v, int) and v >= 0)),
-    "min_samples_leaf": (1, lambda v: isinstance(v, int) and v >= 1),
-    "min_samples_split": (2, lambda v: isinstance(v, int) and v >= 2),
+    "max_depth": (None, lambda v: v is None or integer_at_least(v, 0)),
+    "min_samples_leaf": (1, lambda v: integer_at_least(v, 1)),
+    "min_samples_split": (2, lambda v: integer_at_least(v, 2)),
 }
 
 

@@ -127,16 +127,6 @@ class ThresholdCurve:
     grid: tuple[tuple[float, float], ...]  # (threshold, f1), thresholds increasing
     best_threshold: float
 
-    def f1_at(self, threshold: float) -> float:
-        for t, f1 in self.grid:
-            if abs(t - threshold) < 1e-9:
-                return f1
-        raise KeyError(f"threshold {threshold} not on the grid")
-
-    @property
-    def best_f1(self) -> float:
-        return self.f1_at(self.best_threshold)
-
 
 def tune_threshold(scores, y_true) -> ThresholdCurve:
     """Sweep thresholds over 0.1, 0.2, ..., 0.9; best = max F1, ties to the
@@ -202,7 +192,6 @@ class FoldResult:
     cm: ConfusionMatrix
     threshold: float
     threshold_curve: ThresholdCurve | None
-    n_train: int
     vocab_size: int
     pca_effective: int | None
     smote_synthetic: int
@@ -379,7 +368,6 @@ def _fit_cell(state: _CrossValState, f: int, g: int) -> tuple[FoldResult, ...]:
                 cm=cm,
                 threshold=threshold,
                 threshold_curve=curve,
-                n_train=len(train_pos),
                 vocab_size=len(fitted.vocabulary),
                 pca_effective=fitted.pca_effective,
                 smote_synthetic=fitted.smote_synthetic,

@@ -60,15 +60,6 @@ def grow_presorted_tree(X, g, h, max_depth, lam=1.0) -> TreeNode:
 
 def append_tree(nodes, node) -> None:
     """Append ``node``'s tree to ``nodes``, nodes in pre-order."""
-    nodes.roots.append(len(nodes.right))
-
-    def append(node):
-        if node.is_leaf:
-            nodes.leaf(node.value)
-            return
-        i = nodes.split(node.feature, node.threshold)
-        append(node.left)
-        nodes.right[i] = len(nodes.right)
-        append(node.right)
-
-    append(node)
+    nodes.grow(
+        node, lambda n: n.value if n.is_leaf else (n.feature, n.threshold, n.left, n.right)
+    )

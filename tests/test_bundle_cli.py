@@ -627,14 +627,22 @@ def _config_at(tmp_path, name):
             "--config", tmp_path / name]
 
 
-def _trained_with_config(tmp_path, text):
-    """``train --family xgb`` on a trainable manifest, with a --config file
-    holding ``text``."""
+def _trained_with_config(tmp_path, text, family="xgb"):
+    """``train --family FAMILY`` on a trainable manifest, with a --config
+    file holding ``text``."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     manifest = _trainable_manifest(tmp_path)
-    return ["train", "--manifest", manifest, "--family", "xgb", "--out", tmp_path / "b.json",
+    return ["train", "--manifest", manifest, "--family", family, "--out", tmp_path / "b.json",
             "--config", cfg]
+
+
+def _family_hyperparameters(tmp_path, payload):
+    """``train --family FAMILY`` with a --config file holding only
+    ``hyperparameters``."""
+    family, hyperparameters = payload
+    text = json.dumps({"hyperparameters": hyperparameters})
+    return _trained_with_config(tmp_path, text, family)
 
 
 def _tokenless(tmp_path, command):
@@ -809,6 +817,13 @@ MALFORMED_INPUTS = {
         _trained_with_config, '{"hyperparameters": {"learning_rate": 1e999}}'
     ),
     "config-nested-too-deep": (_trained_with_config, "[" * 5000 + "]" * 5000),
+    # JSON true is an int to isinstance, but no count or depth
+    "config-dt-max-depth-true": (_family_hyperparameters, ("dt", {"max_depth": True})),
+    "config-rf-n-estimators-true": (
+        _family_hyperparameters, ("rf", {"n_estimators": True, "max_depth": True})
+    ),
+    "config-xgb-max-depth-true": (_family_hyperparameters, ("xgb", {"max_depth": True})),
+    "config-knn-n-neighbors-true": (_family_hyperparameters, ("knn", {"n_neighbors": True})),
     "train-empty-vocabulary": (_tokenless, "train"),
     "evaluate-empty-vocabulary": (_tokenless, "evaluate"),
     "experiment-empty-vocabulary": (_tokenless, "experiment"),
@@ -866,6 +881,10 @@ MALFORMED_MESSAGES = {
     "config-hyperparameter-infinity": "is not valid JSON: Infinity is not a JSON number",
     "config-hyperparameter-overflow": "xgb: invalid value for 'learning_rate': inf",
     "config-nested-too-deep": "is not valid JSON: maximum recursion depth exceeded",
+    "config-dt-max-depth-true": "dt: invalid value for 'max_depth': True",
+    "config-rf-n-estimators-true": "rf: invalid value for 'n_estimators': True",
+    "config-xgb-max-depth-true": "xgb: invalid value for 'max_depth': True",
+    "config-knn-n-neighbors-true": "knn: invalid value for 'n_neighbors': True",
     "config-pca-zero": "--pca expects a positive integer or 'none', got 0",
     "config-seed-negative": "cfg.json: 'seed' must be a non-negative integer, got -1",
     "cli-seed-negative": "error: --seed must be non-negative",

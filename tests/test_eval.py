@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflake.corpus import Label
+from qflake.corpus import Label, stratified_folds
 from qflake.errors import PipelineError
 from qflake.eval import (
     ConfusionMatrix,
@@ -34,6 +34,13 @@ def metrics_oracle(tp, fp, fn, tn):
     denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     mcc = (tp * tn - fp * fn) / math.sqrt(denom) if denom > 0 else 0.0
     return accuracy, precision, recall, f1, mcc
+
+
+def training_sizes(corpus, n_folds, seed):
+    """Rows each fold's model trains on: every row outside the fold, as
+    ``stratified_folds`` deals them."""
+    folds = list(stratified_folds(corpus, n_folds, seed).values())
+    return [len(folds) - folds.count(f) for f in range(n_folds)]
 
 
 class TestConfusion:
@@ -135,8 +142,9 @@ class TestTuneThreshold:
         scores = np.array([0.2, 0.4, 0.6, 0.8])
         y = np.array([0, 0, 1, 1])
         curve = tune_threshold(scores, y)
-        assert curve.f1_at(0.5) == 1.0
-        assert curve.f1_at(0.6) == 1.0
+        f1 = dict(curve.grid)
+        assert f1[0.5] == 1.0
+        assert f1[0.6] == 1.0
         assert curve.best_threshold == 0.5
 
     def test_constant_scores_pick_lowest_grid_point(self):
@@ -158,7 +166,8 @@ class TestTuneThreshold:
             scores = rng.random(40)
             y = (rng.random(40) < 0.3).astype(int)
             curve = tune_threshold(scores, y)
-            assert curve.best_f1 >= curve.f1_at(0.5)
+            f1 = dict(curve.grid)
+            assert f1[curve.best_threshold] >= f1[0.5]
 
     def test_empty_input(self):
         with pytest.raises(PipelineError, match="no scores to tune on"):
@@ -210,19 +219,21 @@ class TestCrossValidate:
         counts = tiny_corpus.class_counts
         n_flaky = counts[Label.FLAKY]
         n_nonflaky = counts[Label.NONFLAKY]
+        n_train = training_sizes(tiny_corpus, 4, 5)
         for fr in result.folds:
             # synthetic rows = majority - minority within the training fold
             train_flaky = n_flaky - round(n_flaky / 4)
             train_nonflaky = n_nonflaky - round(n_nonflaky / 4)
             assert abs(fr.smote_synthetic - (train_nonflaky - train_flaky)) <= 2
-            assert fr.cm.total + fr.n_train == len(tiny_corpus)
+            assert fr.cm.total + n_train[fr.fold] == len(tiny_corpus)
 
     def test_pca_clamped_to_training_rows(self, tiny_corpus):
         config = PipelineConfig.from_profile("svm", "paper_vanilla")
         result = cross_validate(tiny_corpus, config, n_folds=4, seed=5)
         assert result.config.pca_components == 220
+        n_train = training_sizes(tiny_corpus, 4, 5)
         for fr in result.folds:
-            assert fr.pca_effective <= fr.n_train - 1
+            assert fr.pca_effective <= n_train[fr.fold] - 1
 
     def test_smote_runs_before_pca(self, tiny_corpus):
         """With SMOTE on, PCA is fitted on the resampled matrix: its
@@ -230,9 +241,10 @@ class TestCrossValidate:
         """
         config = PipelineConfig.from_profile("svm", "paper_smote", smote=True)
         result = cross_validate(tiny_corpus, config, n_folds=4, seed=5)
+        n_train = training_sizes(tiny_corpus, 4, 5)
         for fr in result.folds:
-            raw_ceiling = fr.n_train - 1
-            resampled_ceiling = fr.n_train + fr.smote_synthetic - 1
+            raw_ceiling = n_train[fr.fold] - 1
+            resampled_ceiling = n_train[fr.fold] + fr.smote_synthetic - 1
             assert fr.smote_synthetic > 0
             assert raw_ceiling < fr.pca_effective <= resampled_ceiling
 
@@ -259,7 +271,8 @@ class TestCrossValidate:
         for fr in result.folds:
             assert fr.threshold_curve is not None
             assert fr.threshold == fr.threshold_curve.best_threshold
-            assert fr.threshold_curve.best_f1 >= fr.threshold_curve.f1_at(0.5)
+            f1 = dict(fr.threshold_curve.grid)
+            assert f1[fr.threshold] >= f1[0.5]
 
     def test_eval_fold_tuning_mode(self, tiny_corpus):
         config = PipelineConfig.from_profile("dt", "paper_vanilla", tune_threshold=True)

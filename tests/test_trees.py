@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflake.bundle import ModelBundle
 from qflake.classifiers import (
     DecisionTreeModel,
     GradientBoostingModel,
@@ -24,8 +25,9 @@ from qflake.classifiers.tree import (
 )
 from qflake.corpus import Label, stratified_folds
 from qflake.errors import QflakeError
+from qflake.eval import FittedPipeline
 from qflake.resample import smote_resample
-from qflake.text import fit_vocabulary, tokenize, transform
+from qflake.text import Vocabulary, fit_vocabulary, tokenize, transform
 
 from dense_class_split import DenseSearch, dense_class_split
 from recursive_predict import recursive_score, tree_predict_value
@@ -315,29 +317,61 @@ def test_whole_fit_matches_dense_search(family, profile, tiny_corpus, monkeypatc
     assert np.array_equal(model.score(X), recursive_score(model, X))
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("dt", {"max_depth": None, "min_samples_leaf": 1, "min_samples_split": 2}),
+        ("xgb", {"max_depth": 5000, "n_estimators": 1, "learning_rate": 0.3}),
+    ],
+)
+def test_deep_chain_grows_scores_and_round_trips(family, params, tmp_path):
+    """One column holding 0..1299 with alternating labels takes a tree
+    1,299 levels deep, far past Python's recursion limit. It grows,
+    separates its training rows, and a bundle holding it scores the same
+    after a save and load (the recursive test oracles would recurse too
+    deep to compare against)."""
+    X = np.arange(1300, dtype=np.float64)[:, None]
+    y = np.arange(1300) % 2
+    model = train_model(family, X, y, params, seed=0)
+    assert model.flat.depth == 1299
+    scores = model.score(X)
+    assert np.array_equal(scores > 0.5, y == 1)
+
+    pipeline = FittedPipeline(
+        vocabulary=Vocabulary(("aa",)), pca=None, model=model, threshold=0.5,
+        curve=None, smote_synthetic=0,
+    )
+    bundle = ModelBundle(tokenizer="default", pipeline=pipeline, metadata={})
+    bundle.save(tmp_path / "deep.json")
+    loaded = ModelBundle.load(tmp_path / "deep.json")
+    assert loaded.to_json() == bundle.to_json()
+    assert loaded.pipeline.model.flat.depth == 1299
+    assert np.array_equal(loaded.pipeline.score_counts(X), scores)
+    counts = [1, 2, 1298, 1299]
+    texts = [" ".join(["aa"] * c) for c in counts]
+    assert np.array_equal(loaded.score_texts(texts), scores[counts])
+
+
 def random_tree(rng, X, depth, classification, nodes):
     """Append a random tree of at most ``depth`` levels over X's columns
-    to ``nodes`` and return its own depth. Most thresholds are values some
-    row of X holds, so rows land exactly on them and the ``<=`` side
-    matters."""
-    nodes.roots.append(len(nodes.right))
-    return _random_subtree(rng, X, depth, classification, nodes)
+    to ``nodes`` and return its own depth; the draws are made node by
+    node in pre-order. Most thresholds are values some row of X holds, so
+    rows land exactly on them and the ``<=`` side matters."""
+    leaf_levels = []
 
+    def expand(level):
+        if level == depth or rng.random() < 0.3:
+            leaf_levels.append(level)
+            if classification:
+                m = int(rng.integers(1, 60))
+                return int(rng.integers(0, m + 1)) / m
+            return float(rng.normal())
+        j = int(rng.integers(X.shape[1]))
+        threshold = float(rng.choice(X[:, j])) if rng.random() < 0.8 else float(rng.normal())
+        return j, threshold, level + 1, level + 1
 
-def _random_subtree(rng, X, depth, classification, nodes):
-    if depth == 0 or rng.random() < 0.3:
-        if classification:
-            m = int(rng.integers(1, 60))
-            nodes.leaf(int(rng.integers(0, m + 1)) / m)
-        else:
-            nodes.leaf(float(rng.normal()))
-        return 0
-    j = int(rng.integers(X.shape[1]))
-    threshold = float(rng.choice(X[:, j])) if rng.random() < 0.8 else float(rng.normal())
-    i = nodes.split(j, threshold)
-    left = _random_subtree(rng, X, depth - 1, classification, nodes)
-    nodes.right[i] = len(nodes.right)
-    return 1 + max(left, _random_subtree(rng, X, depth - 1, classification, nodes))
+    nodes.grow(0, expand)
+    return max(leaf_levels)
 
 
 def count_nodes(node):

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import QflakeError
-from .base import sigmoid
-from .boosting import GradientBoostingModel, train_gbt
-from .forest import RandomForestModel, train_random_forest
-from .neighbors import KnnModel, train_knn
+from .base import sigmoid, validate_params
+from .boosting import _GBT_PARAMS, GradientBoostingModel, train_gbt
+from .forest import _RF_PARAMS, RandomForestModel, train_random_forest
+from .neighbors import _KNN_PARAMS, KnnModel, train_knn
 from .profiles import (
     FAMILIES,
     PROFILE_NAMES,
@@ -24,27 +24,32 @@ from .profiles import (
     BuiltinProfile,
     get_profile,
 )
-from .svm import LinearSvmModel, train_svm
-from .tree import DecisionTreeModel, TreeNode, train_decision_tree
+from .svm import _SVM_PARAMS, LinearSvmModel, train_svm
+from .tree import _DT_PARAMS, DecisionTreeModel, TreeNode, train_decision_tree
 
-# family -> (trainer, model class)
+# family -> (trainer, model class, hyperparameters the trainer admits)
 _IMPLEMENTATIONS = {
-    "xgb": (train_gbt, GradientBoostingModel),
-    "dt": (train_decision_tree, DecisionTreeModel),
-    "rf": (train_random_forest, RandomForestModel),
-    "knn": (train_knn, KnnModel),
-    "svm": (train_svm, LinearSvmModel),
+    "xgb": (train_gbt, GradientBoostingModel, _GBT_PARAMS),
+    "dt": (train_decision_tree, DecisionTreeModel, _DT_PARAMS),
+    "rf": (train_random_forest, RandomForestModel, _RF_PARAMS),
+    "knn": (train_knn, KnnModel, _KNN_PARAMS),
+    "svm": (train_svm, LinearSvmModel, _SVM_PARAMS),
 }
 
 
 def train_model(family: str, X, y, hyperparameters=None, seed: int = 0):
     try:
-        trainer, _ = _IMPLEMENTATIONS[family]
+        trainer, _, _ = _IMPLEMENTATIONS[family]
     except KeyError:
         raise QflakeError(
             f"unknown family {family!r}; expected one of {FAMILIES}"
         ) from None
     return trainer(X, y, hyperparameters or {}, seed=seed)
+
+
+def check_hyperparameters(family: str, hyperparameters: dict) -> None:
+    """Raise, without fitting, what training would raise for ``hyperparameters``."""
+    validate_params(family, hyperparameters, _IMPLEMENTATIONS[family][2])
 
 
 def predict_labels(scores, threshold: float = 0.5) -> np.ndarray:
@@ -55,7 +60,7 @@ def predict_labels(scores, threshold: float = 0.5) -> np.ndarray:
 def model_from_dict(d: dict):
     family = d.get("family")
     try:
-        _, cls = _IMPLEMENTATIONS[family]
+        _, cls, _ = _IMPLEMENTATIONS[family]
     except KeyError:
         raise QflakeError(f"unknown model family in payload: {family!r}") from None
     return cls.from_dict(d)
@@ -72,6 +77,7 @@ __all__ = [
     "LinearSvmModel",
     "RandomForestModel",
     "TreeNode",
+    "check_hyperparameters",
     "get_profile",
     "model_from_dict",
     "predict_labels",

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from ..errors import PipelineError, QflakeError
+from ..jsonio import shown
 from ..linalg import as_matrix
 
 
@@ -58,8 +59,9 @@ REQUIRED = object()
 def validate_params(family: str, params: dict, allowed: dict) -> dict:
     """Merge ``params`` over per-family defaults, rejecting unknown names.
 
-    ``allowed`` maps parameter name -> (default, checker); a ``REQUIRED``
-    default marks a parameter the caller must supply.
+    ``allowed`` maps parameter name -> (default, what it admits, check);
+    a ``REQUIRED`` default marks a parameter the caller must supply. A
+    refused value is shown as JSON, as a ``--config`` file holds it.
     """
     unknown = set(params) - set(allowed)
     if unknown:
@@ -68,14 +70,16 @@ def validate_params(family: str, params: dict, allowed: dict) -> dict:
             f"expected {sorted(allowed)}"
         )
     resolved = {}
-    for name, (default, checker) in allowed.items():
+    for name, (default, admits, check) in allowed.items():
         if name in params:
             value = params[name]
         elif default is REQUIRED:
             raise QflakeError(f"{family}: missing hyperparameter {name!r}")
         else:
             value = default
-        if checker is not None and not checker(value):
-            raise QflakeError(f"{family}: invalid value for {name!r}: {value!r}")
+        if not check(value):
+            raise QflakeError(
+                f"{family} hyperparameter {name!r} must be {admits}, got {shown(value)}"
+            )
         resolved[name] = value
     return resolved

@@ -61,14 +61,16 @@ from .base import (
     sigmoid,
     validate_params,
 )
-from .tree import FlatTrees, NodeArrays, TreeNode
+from .tree import FlatTrees, NodeArrays, TreeModel
 
 _LAMBDA = 1.0
 
 _GBT_PARAMS = {
-    "learning_rate": (REQUIRED, lambda v: finite_number(v) and v >= 0),
-    "max_depth": (REQUIRED, lambda v: integer_at_least(v, 0)),
-    "n_estimators": (REQUIRED, lambda v: integer_at_least(v, 0)),
+    "learning_rate": (
+        REQUIRED, "a finite number >= 0", lambda v: finite_number(v) and v >= 0
+    ),
+    "max_depth": (REQUIRED, "an integer >= 0", lambda v: integer_at_least(v, 0)),
+    "n_estimators": (REQUIRED, "an integer >= 0", lambda v: integer_at_least(v, 0)),
 }
 
 
@@ -254,17 +256,12 @@ class ExactBins:
 
 
 @dataclass
-class GradientBoostingModel:
+class GradientBoostingModel(TreeModel):
     family = "xgb"
+    scalars = ("base_raw", "prior", "learning_rate")
     base_raw: float          # initial raw score F0 (log-odds of base rate)
     prior: float             # base rate of the flaky class
     learning_rate: float
-    flat: FlatTrees
-    n_features: int
-
-    @property
-    def trees(self) -> list[TreeNode]:
-        return self.flat.to_nodes()
 
     def raw_score(self, X) -> np.ndarray:
         X = check_scoring_input(X, self.n_features)
@@ -281,33 +278,15 @@ class GradientBoostingModel:
             return np.full(X.shape[0], self.prior, dtype=np.float64)
         return sigmoid(self.raw_score(X))
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "base_raw": float(self.base_raw),
-            "prior": float(self.prior),
-            "learning_rate": float(self.learning_rate),
-            "trees": self.flat.to_payload(),
-            "n_features": int(self.n_features),
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoostingModel":
-        scalars = {name: d[name] for name in ("base_raw", "prior", "learning_rate")}
-        for name, value in scalars.items():
-            if not finite_number(value):
-                raise QflakeError(f"xgb {name} must be a finite number, got {value!r:.40}")
-        if not 0.0 <= scalars["prior"] <= 1.0:
-            raise QflakeError(f"xgb prior must be in [0, 1], got {scalars['prior']!r}")
-        if scalars["learning_rate"] < 0:
-            raise QflakeError(
-                f"xgb learning_rate must be >= 0, got {scalars['learning_rate']!r}"
-            )
-        return cls(
-            **{name: float(value) for name, value in scalars.items()},
-            flat=FlatTrees.from_payload(d["trees"], d["n_features"]),
-            n_features=d["n_features"],
-        )
+    def _check_payload(cls, d: dict, flat: FlatTrees) -> None:
+        for name in cls.scalars:
+            if not finite_number(d[name]):
+                raise QflakeError(f"xgb {name} must be a finite number, got {d[name]!r:.40}")
+        if not 0.0 <= d["prior"] <= 1.0:
+            raise QflakeError(f"xgb prior must be in [0, 1], got {d['prior']!r}")
+        if d["learning_rate"] < 0:
+            raise QflakeError(f"xgb learning_rate must be >= 0, got {d['learning_rate']!r}")
 
 
 def train_gbt(X, y, params=None, seed=0) -> GradientBoostingModel:
@@ -317,29 +296,19 @@ def train_gbt(X, y, params=None, seed=0) -> GradientBoostingModel:
     X, y = check_training_data(X, y)
     resolved = validate_params("xgb", params or {}, _GBT_PARAMS)
     prior = float(y.mean())
-    if prior in (0.0, 1.0):
-        return GradientBoostingModel(
-            base_raw=0.0,
-            prior=prior,
-            learning_rate=float(resolved["learning_rate"]),
-            flat=NodeArrays().flat(),
-            n_features=X.shape[1],
-        )
-    base_raw = float(np.log(prior / (1.0 - prior)))
-    raw = np.full(X.shape[0], base_raw, dtype=np.float64)
-    yf = y.astype(np.float64)
     lr = float(resolved["learning_rate"])
     nodes = NodeArrays()
-    bins = ExactBins(X)
-    for _ in range(resolved["n_estimators"]):
-        p = sigmoid(raw)
-        g = p - yf
-        h = p * (1.0 - p)
-        raw += lr * bins.grow(g, h, resolved["max_depth"], nodes)
+    base_raw = 0.0
+    if prior not in (0.0, 1.0):
+        base_raw = float(np.log(prior / (1.0 - prior)))
+        raw = np.full(X.shape[0], base_raw, dtype=np.float64)
+        yf = y.astype(np.float64)
+        bins = ExactBins(X)
+        for _ in range(resolved["n_estimators"]):
+            p = sigmoid(raw)
+            g = p - yf
+            h = p * (1.0 - p)
+            raw += lr * bins.grow(g, h, resolved["max_depth"], nodes)
     return GradientBoostingModel(
-        base_raw=base_raw,
-        prior=prior,
-        learning_rate=lr,
-        flat=nodes.flat(),
-        n_features=X.shape[1],
+        base_raw=base_raw, prior=prior, learning_rate=lr, flat=nodes.flat(), n_features=X.shape[1]
     )

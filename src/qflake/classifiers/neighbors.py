@@ -19,7 +19,7 @@ from .base import (
 )
 
 _KNN_PARAMS = {
-    "n_neighbors": (REQUIRED, lambda v: integer_at_least(v, 1)),
+    "n_neighbors": (REQUIRED, "an integer >= 1", lambda v: integer_at_least(v, 1)),
 }
 
 

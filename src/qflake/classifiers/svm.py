@@ -27,7 +27,7 @@ from .base import (
     validate_params,
 )
 
-_SVM_PARAMS = {"C": (REQUIRED, lambda v: finite_number(v) and v > 0)}
+_SVM_PARAMS = {"C": (REQUIRED, "a finite number > 0", lambda v: finite_number(v) and v > 0)}
 MAX_EPOCHS = 1000
 TOL = 1e-6  # stop once no projected gradient exceeds it
 

@@ -1,5 +1,9 @@
 """Decision trees: impurity measures, greedy growth, and the flat tree
-format that dt, rf and xgb models are stored and scored in.
+format and payload that dt, rf and xgb models are stored and scored in.
+
+A decision tree is the random forest's one-tree case (Breiman, Random
+Forests, 2001), on every row with every column at every split, so
+``grow_class_trees`` grows both, one tree per ``(rows, rng)`` sample.
 
 Split candidates are midpoints between consecutive distinct sorted values
 of each feature; the winning split maximizes impurity decrease with ties
@@ -20,7 +24,7 @@ A tree lives only as node arrays from the moment it is grown. One builder,
 boosting fit's rounds share one ``NodeArrays``) in pre-order with an
 explicit stack, so no tree is too deep to grow. A grower only says how
 to expand one node: into a leaf's value, or into a split and its two
-children (``grow_class_tree`` for dt and rf, ``ExactBins.grow`` for
+children (``grow_class_trees`` for dt and rf, ``ExactBins.grow`` for
 xgb). ``NodeArrays.flat`` turns the lists into one ``FlatTrees``:
 parallel node arrays ``feature``, ``threshold``, ``left``, ``right`` and
 ``value``, one root index per tree, and the deepest tree's depth. A leaf
@@ -37,26 +41,27 @@ leaves in the loop. The comparisons and leaf values are the ones a
 recursive walk makes; forests and boosting add the per-tree values in
 tree order, so scores are bit-identical to adding one tree at a time.
 
-A bundle stores the arrays themselves, each through the codec in
-``linalg`` (base64 of little-endian int64 or float64): ``feature``,
-``threshold``, ``right``, ``value`` and ``roots``. ``left`` is not
-stored: nodes are in pre-order, so a node is a leaf iff ``right[i] == i``
-and an internal node's left child is ``i + 1``. Nor is ``depth``: a file
-that understated it would stop walks at internal nodes and silently score
-0.0, so it is computed on load, one numpy step per tree level. Loading
-checks the structure with a few whole-array operations instead of a walk
-per node. Every internal node needs ``i + 1 < right[i] < n``, and every
-node must be a root or the child of exactly one parent (a ``bincount``
-over roots and children). Children then have higher indices than their
-parents, so the nodes form a forest and every walk from a root ends at a
-leaf. A bundle written before leaves held one value also stores each
-leaf's nonflaky fraction as ``nonflaky``; loading ignores it.
+``TreeModel``, the one payload codec of dt, rf and xgb, stores the arrays
+themselves, each through the codec in ``linalg`` (base64 of little-endian
+int64 or float64): ``feature``, ``threshold``, ``right``, ``value`` and
+``roots``. ``left`` is not stored: nodes are in pre-order, so a node is a
+leaf iff ``right[i] == i`` and an internal node's left child is ``i + 1``.
+Nor is ``depth``: a file that understated it would stop walks at internal
+nodes and silently score 0.0, so it is computed on load, one numpy step
+per tree level. Loading checks the structure with a few whole-array
+operations instead of a walk per node. Every internal node needs
+``i + 1 < right[i] < n``, and every node must be a root or the child of
+exactly one parent (a ``bincount`` over roots and children). Children
+then have higher indices than their parents, so the nodes form a forest
+and every walk from a root ends at a leaf. A bundle written before leaves
+held one value also stores each leaf's nonflaky fraction as
+``nonflaky``; loading ignores it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,17 +74,18 @@ _GAIN_EPS = 1e-12
 CRITERIA = ("entropy", "gini")
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeNode:
     """One node of a tree as ``FlatTrees.to_nodes`` rebuilds it, for
     reading: an internal node (feature/threshold/left/right) or a leaf
     holding its ``value``. Rows with feature <= threshold go left.
+    Nodes compare by identity and print without children: any depth works.
     """
 
     feature: int | None = None
     threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    left: "TreeNode | None" = field(default=None, repr=False)
+    right: "TreeNode | None" = field(default=None, repr=False)
     value: float | None = None
 
     @property
@@ -351,61 +357,96 @@ class SplitSearch:
         return int(feature_ids[j]), float(threshold)
 
 
-def grow_class_tree(
-    search: SplitSearch,
-    rows,
-    nodes: NodeArrays,
-    max_depth=None,
-    min_samples_leaf=1,
-    min_samples_split=2,
-    max_features=None,
-    rng=None,
-) -> None:
-    """Greedy partitioning of ``rows`` of the fit ``search`` was built on,
-    with 0/1 labels, appended to ``nodes`` as one tree whose leaves hold
-    their flaky fraction. Rows may repeat, as in a bootstrap sample.
-
-    ``max_features`` with a Generator samples that many candidate columns
-    per split (random-forest mode), one draw per node in pre-order;
-    otherwise all columns are considered.
+def grow_class_trees(X, y, params, samples) -> FlatTrees:
+    """Greedy class trees on X and 0/1 labels y under ``_DT_PARAMS``
+    ``params``, one per ``(rows, rng)`` of ``samples``, each grown before
+    the next is drawn; a leaf holds its flaky fraction. ``rows`` may
+    repeat, as in a bootstrap sample. With ``rng`` None a split considers
+    every column, else ceil(sqrt(d)) columns drawn from ``rng``, one draw
+    per node in pre-order (random-forest mode).
     """
+    search = SplitSearch(X, y, params["criterion"])
     columns, y = search.columns, search.y
     d = columns.shape[0]
-    depth_cap = math.inf if max_depth is None else max_depth
+    every_column = np.arange(d)
+    sampled = math.ceil(math.sqrt(d))
+    depth_cap = math.inf if params["max_depth"] is None else params["max_depth"]
 
     def expand(node):
-        idx, depth = node
+        idx, depth, rng = node
         n = len(idx)
         pos = np.count_nonzero(y[idx])
-        if depth >= depth_cap or n < min_samples_split or pos in (0, n):
+        if depth >= depth_cap or n < params["min_samples_split"] or pos in (0, n):
             return pos / n
-        if max_features is not None and max_features < d:
-            feats = np.sort(rng.choice(d, size=max_features, replace=False))
+        if rng is None or sampled >= d:
+            feats = every_column
         else:
-            feats = np.arange(d)
-        found = search.best_split(idx, feats, min_samples_leaf)
+            feats = np.sort(rng.choice(d, size=sampled, replace=False))
+        found = search.best_split(idx, feats, params["min_samples_leaf"])
         if found is None:
             return pos / n
         feature, threshold = found
         mask = columns[feature, idx] <= threshold
-        return feature, threshold, (idx[mask], depth + 1), (idx[~mask], depth + 1)
+        return feature, threshold, (idx[mask], depth + 1, rng), (idx[~mask], depth + 1, rng)
 
-    nodes.grow((rows, 0), expand)
+    nodes = NodeArrays()
+    for rows, rng in samples:
+        nodes.grow((rows, 0, rng), expand)
+    return nodes.flat()
 
 
 _DT_PARAMS = {
-    "criterion": ("entropy", lambda v: v in CRITERIA),
-    "max_depth": (None, lambda v: v is None or integer_at_least(v, 0)),
-    "min_samples_leaf": (1, lambda v: integer_at_least(v, 1)),
-    "min_samples_split": (2, lambda v: integer_at_least(v, 2)),
+    "criterion": ("entropy", 'one of "entropy", "gini"', lambda v: v in CRITERIA),
+    "max_depth": (
+        None, "null or an integer >= 0", lambda v: v is None or integer_at_least(v, 0)
+    ),
+    "min_samples_leaf": (1, "an integer >= 1", lambda v: integer_at_least(v, 1)),
+    "min_samples_split": (2, "an integer >= 2", lambda v: integer_at_least(v, 2)),
 }
 
 
 @dataclass
-class DecisionTreeModel:
-    family = "dt"
+class TreeModel:
+    """A dt, rf or xgb model: its trees as one ``FlatTrees`` over
+    ``n_features`` columns, and the one payload codec. A payload holds the
+    family, the trees under ``trees_key``, ``n_features`` and the floats
+    named in ``scalars``. Each family defines its own ``score``.
+    """
+
     flat: FlatTrees
     n_features: int
+
+    trees_key = "trees"
+    scalars = ()
+
+    @property
+    def trees(self) -> list[TreeNode]:
+        return self.flat.to_nodes()
+
+    def to_dict(self) -> dict:
+        return {
+            "family": self.family,
+            **{name: float(getattr(self, name)) for name in self.scalars},
+            self.trees_key: self.flat.to_payload(),
+            "n_features": int(self.n_features),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        flat = FlatTrees.from_payload(d[cls.trees_key], d["n_features"])
+        cls._check_payload(d, flat)
+        scalars = {name: float(d[name]) for name in cls.scalars}
+        return cls(flat=flat, n_features=d["n_features"], **scalars)
+
+    @classmethod
+    def _check_payload(cls, d: dict, flat: FlatTrees) -> None:
+        """Raise QflakeError for a tree count or a scalar of payload ``d``,
+        whose trees decoded to ``flat``, that the family does not admit."""
+
+
+class DecisionTreeModel(TreeModel):
+    family = "dt"
+    trees_key = "root"
 
     @property
     def root(self) -> TreeNode:
@@ -415,31 +456,15 @@ class DecisionTreeModel:
         X = check_scoring_input(X, self.n_features)
         return self.flat.leaf_values(X)[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "root": self.flat.to_payload(),
-            "n_features": int(self.n_features),
-        }
-
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTreeModel":
-        flat = FlatTrees.from_payload(d["root"], d["n_features"])
+    def _check_payload(cls, d: dict, flat: FlatTrees) -> None:
         if flat.roots.size != 1:
             raise QflakeError(f"dt model payload holds {flat.roots.size} trees, not one")
-        return cls(flat=flat, n_features=d["n_features"])
 
 
 def train_decision_tree(X, y, params=None, seed=0) -> DecisionTreeModel:
     X, y = check_training_data(X, y)
     resolved = validate_params("dt", params or {}, _DT_PARAMS)
-    nodes = NodeArrays()
-    grow_class_tree(
-        SplitSearch(X, y, resolved["criterion"]),
-        np.arange(X.shape[0]),
-        nodes,
-        max_depth=resolved["max_depth"],
-        min_samples_leaf=resolved["min_samples_leaf"],
-        min_samples_split=resolved["min_samples_split"],
-    )
-    return DecisionTreeModel(flat=nodes.flat(), n_features=X.shape[1])
+    # a forest of one tree: every row once, every column at every split
+    flat = grow_class_trees(X, y, resolved, [(np.arange(X.shape[0]), None)])
+    return DecisionTreeModel(flat=flat, n_features=X.shape[1])

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .bundle import ModelBundle, train_bundle
-from .classifiers import FAMILIES, PROFILE_NAMES, predict_labels
+from .classifiers import FAMILIES, PROFILE_NAMES, check_hyperparameters, predict_labels
 from .corpus import (
     Corpus,
     Label,
@@ -42,7 +42,7 @@ from .corpus import (
 from .errors import PipelineError, QflakeError
 from .eval import METRIC_NAMES, PipelineConfig, cross_validate
 from .experiment import METHODS, run_paper_suite, write_results
-from .jsonio import dumps, loads
+from .jsonio import dumps, loads, shown
 from .text import TOKENIZER_PROFILES
 
 EXIT_OK = 0
@@ -188,7 +188,9 @@ def _load_config_file(path: Path | None) -> dict:
         if ok and key == "seed" and value < 0:
             ok, expected = False, "a non-negative integer"
         if not ok:
-            raise QflakeError(f"config file {path}: {key!r} must be {expected}, got {value!r}")
+            raise QflakeError(
+                f"config file {path}: {key!r} must be {expected}, got {shown(value)}"
+            )
     return loaded
 
 
@@ -223,7 +225,8 @@ def _pca_components(value, default):
 def _pipeline_from_args(args) -> PipelineConfig:
     """The pipeline train or evaluate fits: the profile's settings under
     the command's. The --replicate-paper-* switches of evaluate describe
-    its cross-validation, not the pipeline, and go to ``cross_validate``."""
+    its cross-validation, not the pipeline, and go to ``cross_validate``.
+    Hyperparameters, which only --config gives, are checked before any fit."""
     config = PipelineConfig.from_profile(
         args.family,
         args.profile or ("paper_smote" if args.smote else "paper_vanilla"),
@@ -231,9 +234,14 @@ def _pipeline_from_args(args) -> PipelineConfig:
         tune_threshold=args.tune_threshold,
         tokenizer=args.tokenizer,
     )
+    hyperparameters = {**config.hyperparameters, **args.hyperparameters}
+    try:
+        check_hyperparameters(args.family, hyperparameters)
+    except QflakeError as exc:
+        raise QflakeError(f"config file {args.config}: {exc}") from None
     return replace(
         config,
-        hyperparameters={**config.hyperparameters, **args.hyperparameters},
+        hyperparameters=hyperparameters,
         pca_components=_pca_components(args.pca, config.pca_components),
     )
 

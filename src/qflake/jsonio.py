@@ -20,6 +20,14 @@ def loads(text: str):
     return json.loads(text, parse_constant=_refuse_constant)
 
 
+def shown(value) -> str:
+    """``value`` for a message: as JSON (``true``, ``null``) if it can be."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def dumps(obj, **kwargs) -> str:
     try:
         return json.dumps(obj, allow_nan=False, **kwargs)

@@ -53,8 +53,9 @@ def dense_class_split(X, y, idx, feature_ids, criterion, min_samples_leaf):
 
 
 class DenseSearch(SplitSearch):
-    """Stands in for ``SplitSearch`` in the tree and forest trainers,
-    finding every split with the dense reference search."""
+    """Stands in for ``SplitSearch`` in ``tree.grow_class_trees``, which
+    grows dt and rf alike, finding every split with the dense reference
+    search."""
 
     def __init__(self, X, y, criterion):
         super().__init__(X, y, criterion)

@@ -797,6 +797,7 @@ MALFORMED_INPUTS = {
     "experiment-one-class-manifest": (_experiment_on, ["nonflaky"] * 6),
     "evaluate-more-folds-than-flaky": (_evaluate_in_folds, 3),
     "config-seed-not-integer": (_configured, ("train", {"seed": "abc"})),
+    "config-seed-true": (_configured, ("train", {"seed": True})),
     "config-key-unknown": (_configured, ("evaluate", {"seeed": 5, "fold": 3})),
     "config-folds-not-integer": (_configured, ("experiment", {"folds": "x"})),
     "config-tokenizer-unknown": (_configured, ("train", {"tokenizer": "bogus"})),
@@ -823,6 +824,7 @@ MALFORMED_INPUTS = {
         _family_hyperparameters, ("rf", {"n_estimators": True, "max_depth": True})
     ),
     "config-xgb-max-depth-true": (_family_hyperparameters, ("xgb", {"max_depth": True})),
+    "config-xgb-max-depth-null": (_family_hyperparameters, ("xgb", {"max_depth": None})),
     "config-knn-n-neighbors-true": (_family_hyperparameters, ("knn", {"n_neighbors": True})),
     "train-empty-vocabulary": (_tokenless, "train"),
     "evaluate-empty-vocabulary": (_tokenless, "evaluate"),
@@ -879,12 +881,30 @@ MALFORMED_MESSAGES = {
     "record-id-nan": "m.jsonl:2: invalid JSON (NaN is not a JSON number)",
     "manifest-blank-lines": "invalid manifest: no entries",
     "config-hyperparameter-infinity": "is not valid JSON: Infinity is not a JSON number",
-    "config-hyperparameter-overflow": "xgb: invalid value for 'learning_rate': inf",
+    "config-hyperparameter-overflow": (
+        "cfg.json: xgb hyperparameter 'learning_rate' must be a finite number >= 0, got Infinity"
+    ),
     "config-nested-too-deep": "is not valid JSON: maximum recursion depth exceeded",
-    "config-dt-max-depth-true": "dt: invalid value for 'max_depth': True",
-    "config-rf-n-estimators-true": "rf: invalid value for 'n_estimators': True",
-    "config-xgb-max-depth-true": "xgb: invalid value for 'max_depth': True",
-    "config-knn-n-neighbors-true": "knn: invalid value for 'n_neighbors': True",
+    "config-dt-max-depth-true": (
+        "cfg.json: dt hyperparameter 'max_depth' must be null or an integer >= 0, got true"
+    ),
+    "config-rf-n-estimators-true": (
+        "cfg.json: rf hyperparameter 'n_estimators' must be an integer >= 1, got true"
+    ),
+    "config-xgb-max-depth-true": (
+        "cfg.json: xgb hyperparameter 'max_depth' must be an integer >= 0, got true"
+    ),
+    "config-xgb-max-depth-null": (
+        "cfg.json: xgb hyperparameter 'max_depth' must be an integer >= 0, got null"
+    ),
+    "config-knn-n-neighbors-true": (
+        "cfg.json: knn hyperparameter 'n_neighbors' must be an integer >= 1, got true"
+    ),
+    "config-hyperparameter-invalid": (
+        "cfg.json: dt hyperparameter 'max_depth' must be null or an integer >= 0, got \"x\""
+    ),
+    "config-seed-not-integer": "cfg.json: 'seed' must be an integer, got \"abc\"",
+    "config-seed-true": "cfg.json: 'seed' must be an integer, got true",
     "config-pca-zero": "--pca expects a positive integer or 'none', got 0",
     "config-seed-negative": "cfg.json: 'seed' must be a non-negative integer, got -1",
     "cli-seed-negative": "error: --seed must be non-negative",

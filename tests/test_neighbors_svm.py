@@ -105,7 +105,8 @@ class TestLinearSvm:
 
     def test_c_must_be_positive(self):
         X, y = separable_set(seed=15, n=20)
-        with pytest.raises(QflakeError, match="svm: invalid value for 'C': 0.0"):
+        refused = "svm hyperparameter 'C' must be a finite number > 0, got 0.0"
+        with pytest.raises(QflakeError, match=refused):
             train_svm(X, y, {"C": 0.0}, seed=0)
 
     def test_scores_in_unit_interval(self):

@@ -8,7 +8,6 @@ from qflake.classifiers import (
     DecisionTreeModel,
     GradientBoostingModel,
     RandomForestModel,
-    forest,
     get_profile,
     model_from_dict,
     train_decision_tree,
@@ -123,7 +122,8 @@ class TestImpurity:
         assert _impurity_from_fraction([0.75], "gini")[0] == pytest.approx(0.375)
 
     def test_bad_criterion(self):
-        with pytest.raises(QflakeError, match="dt: invalid value for 'criterion': 'variance'"):
+        refused = "dt hyperparameter 'criterion' must be one of " '"entropy", "gini", got "variance"'
+        with pytest.raises(QflakeError, match=refused):
             train_decision_tree(
                 np.array([[0.0], [1.0]]), np.array([0, 1]), {"criterion": "variance"}
             )
@@ -308,7 +308,6 @@ def test_whole_fit_matches_dense_search(family, profile, tiny_corpus, monkeypatc
     params = get_profile(family, profile).hyperparameters
     model = train_model(family, X, y, params, seed=3)
     monkeypatch.setattr(tree, "SplitSearch", DenseSearch)
-    monkeypatch.setattr(forest, "SplitSearch", DenseSearch)
     reference = train_model(family, X, y, params, seed=3)
 
     assert model.to_dict() == reference.to_dict()
@@ -326,14 +325,18 @@ def test_whole_fit_matches_dense_search(family, profile, tiny_corpus, monkeypatc
 )
 def test_deep_chain_grows_scores_and_round_trips(family, params, tmp_path):
     """One column holding 0..1299 with alternating labels takes a tree
-    1,299 levels deep, far past Python's recursion limit. It grows,
-    separates its training rows, and a bundle holding it scores the same
+    1,299 levels deep, far past Python's recursion limit. It grows, its
+    ``TreeNode`` view prints and compares (by identity), it separates its
+    training rows, and a bundle holding it scores the same
     after a save and load (the recursive test oracles would recurse too
     deep to compare against)."""
     X = np.arange(1300, dtype=np.float64)[:, None]
     y = np.arange(1300) % 2
     model = train_model(family, X, y, params, seed=0)
     assert model.flat.depth == 1299
+    view = model.root if family == "dt" else model.trees[0]
+    assert repr(view).startswith("TreeNode(feature=0, threshold=")
+    assert view == view and view != model.flat.to_nodes()[0]
     scores = model.score(X)
     assert np.array_equal(scores > 0.5, y == 1)
 

@@ -63,18 +63,18 @@ def validate_params(family: str, params: dict, allowed: dict) -> dict:
     a ``REQUIRED`` default marks a parameter the caller must supply. A
     refused value is shown as JSON, as a ``--config`` file holds it.
     """
-    unknown = set(params) - set(allowed)
+    unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise QflakeError(
-            f"{family}: unknown hyperparameter(s) {sorted(unknown)}; "
-            f"expected {sorted(allowed)}"
+            f"{family} has no hyperparameter {', '.join(map(repr, unknown))}; "
+            f"it takes {', '.join(map(repr, sorted(allowed)))}"
         )
     resolved = {}
     for name, (default, admits, check) in allowed.items():
         if name in params:
             value = params[name]
         elif default is REQUIRED:
-            raise QflakeError(f"{family}: missing hyperparameter {name!r}")
+            raise QflakeError(f"{family} hyperparameter {name!r} must be given: {admits}")
         else:
             value = default
         if not check(value):

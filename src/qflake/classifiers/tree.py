@@ -42,10 +42,11 @@ recursive walk makes; forests and boosting add the per-tree values in
 tree order, so scores are bit-identical to adding one tree at a time.
 
 ``TreeModel``, the one payload codec of dt, rf and xgb, stores the arrays
-themselves, each through the codec in ``linalg`` (base64 of little-endian
-int64 or float64): ``feature``, ``threshold``, ``right``, ``value`` and
-``roots``. ``left`` is not stored: nodes are in pre-order, so a node is a
-leaf iff ``right[i] == i`` and an internal node's left child is ``i + 1``.
+themselves, each as a ``linalg`` array object (little-endian int64 or
+float64, whose bytes a bundle file holds after its JSON header):
+``feature``, ``threshold``, ``right``, ``value`` and ``roots``. ``left``
+is not stored: nodes are in pre-order, so a node is a leaf iff
+``right[i] == i`` and an internal node's left child is ``i + 1``.
 Nor is ``depth``: a file that understated it would stop walks at internal
 nodes and silently score 0.0, so it is computed on load, one numpy step
 per tree level. Loading checks the structure with a few whole-array

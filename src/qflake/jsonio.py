@@ -16,8 +16,16 @@ def _refuse_constant(name: str):
     raise QflakeError(f"{name} is not a JSON number")
 
 
-def loads(text: str):
-    return json.loads(text, parse_constant=_refuse_constant)
+def loads(text, object_hook=None):
+    """``text`` parsed as strict JSON, each object passed through
+    ``object_hook`` as ``json.loads`` does; bytes must be UTF-8, which
+    ``json.loads`` would otherwise guess among UTF-8, -16 and -32."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise QflakeError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return json.loads(text, parse_constant=_refuse_constant, object_hook=object_hook)
 
 
 def shown(value) -> str:

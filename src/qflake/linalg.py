@@ -1,5 +1,5 @@
-"""Dense matrix checks, the JSON codec for float and integer arrays, and
-PCA via SVD of the centered data matrix.
+"""Dense matrix checks, the array objects bundles store float and integer
+arrays as, and PCA via SVD of the centered data matrix.
 
 The SVD route avoids forming the covariance of wide count matrices; the
 explained variances are the squared singular values over (n - 1). Each
@@ -9,7 +9,6 @@ making results independent of solver internals.
 
 from __future__ import annotations
 
-import base64
 import math
 from dataclasses import dataclass
 
@@ -28,45 +27,48 @@ def as_matrix(X) -> np.ndarray:
     return X
 
 
-# JSON key of an array's bytes -> their numpy dtype
-_ARRAY_DTYPES = {"float64le": "<f8", "int64le": "<i8"}
+# key of an array object's bytes -> their numpy dtype
+ARRAY_DTYPES = {"float64le": "<f8", "int64le": "<i8"}
 
 
 def encode_array(a) -> dict:
-    """A float or integer array as JSON: its shape and its bytes as
-    little-endian float64 (``float64le``) or int64 (``int64le``) in
-    standard base64 (RFC 4648)."""
+    """A float or integer array as an array object: its shape, and its
+    bytes as little-endian float64 (under ``float64le``) or int64 (under
+    ``int64le``). A bundle file puts the bytes after its JSON header and
+    their offset in their place (see ``bundle``)."""
     a = np.asarray(a)
     key = "int64le" if a.dtype.kind in "iu" else "float64le"
-    a = a.astype(_ARRAY_DTYPES[key], copy=False)
-    return {key: base64.b64encode(a.tobytes()).decode("ascii"), "shape": list(a.shape)}
+    return {key: a.astype(ARRAY_DTYPES[key], copy=False).tobytes(), "shape": list(a.shape)}
 
 
-def decode_array(payload, ndim: int, key: str = "float64le") -> np.ndarray:
-    """The array of rank ``ndim`` that ``encode_array`` wrote as
-    ``payload`` under ``key``, bit for bit: float64 arrays must be finite.
-    Anything else raises QflakeError."""
+def array_nbytes(payload) -> int:
+    """The byte count of an array object's data, from its shape, which
+    must be a list of non-negative integers. Anything else raises
+    QflakeError."""
     if not isinstance(payload, dict):
         raise QflakeError(f"array must be a JSON object, got {type(payload).__name__}")
-    shape, text = payload.get("shape"), payload.get(key)
+    shape = payload.get("shape")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise QflakeError(
             f"array shape must be a list of non-negative integers, got {shape!r}"
         )
+    return 8 * math.prod(shape)
+
+
+def decode_array(payload, ndim: int, key: str = "float64le") -> np.ndarray:
+    """The array of rank ``ndim`` whose bytes ``payload`` holds under
+    ``key``, bit for bit and in place (read-only): float64 arrays must be
+    finite. Anything else raises QflakeError."""
+    nbytes = array_nbytes(payload)
+    shape, raw = payload["shape"], payload.get(key)
     if len(shape) != ndim:
         raise QflakeError(f"array shape {shape} is not of rank {ndim}")
-    if not isinstance(text, str):
-        raise QflakeError(f"array {key} must be a base64 string")
+    if not isinstance(raw, (bytes, memoryview)):
+        raise QflakeError(f"array holds no {key} bytes")
+    if len(raw) != nbytes:
+        raise QflakeError(f"array of shape {shape} needs {nbytes} bytes, got {len(raw)}")
     try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:  # binascii.Error, or a non-ASCII string
-        raise QflakeError(f"array {key} is not valid base64") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise QflakeError(
-            f"array of shape {shape} needs {8 * math.prod(shape)} bytes, got {len(raw)}"
-        )
-    try:
-        a = np.frombuffer(raw, dtype=_ARRAY_DTYPES[key]).reshape(shape)
+        a = np.frombuffer(raw, dtype=ARRAY_DTYPES[key]).reshape(shape)
     except ValueError as exc:  # a zero-size shape too large to index
         raise QflakeError(f"array shape {shape}: {exc}") from None
     if a.dtype.kind == "f" and not np.isfinite(a).all():

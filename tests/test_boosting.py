@@ -144,7 +144,9 @@ class TestGradientBoosting:
     def test_missing_hyperparameters_rejected(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        with pytest.raises(QflakeError, match="xgb: missing hyperparameter 'max_depth'"):
+        with pytest.raises(
+            QflakeError, match="^xgb hyperparameter 'max_depth' must be given: an integer >= 0$"
+        ):
             train_gbt(X, y, {"learning_rate": 0.5})
 
     def test_serialization_roundtrip(self):

@@ -1,13 +1,18 @@
+import base64
+import errno
+import gc
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qflake import cli, linalg
-from qflake.bundle import FORMAT_VERSION, ModelBundle, train_bundle
+from qflake.bundle import FORMAT_VERSION, ModelBundle, pack, train_bundle, unpack
 from qflake.classifiers.tree import FlatTrees
 from qflake.corpus import Corpus, Label, load_manifest
 from qflake.eval import PipelineConfig, cross_validate
@@ -51,8 +56,8 @@ class TestBundle:
 
     def test_retrain_same_seed_identical_bytes(self, tiny_corpus, tmp_path):
         config = PipelineConfig.from_profile("xgb", "paper_vanilla")
-        a = train_bundle(tiny_corpus, config, seed=5).to_json()
-        b = train_bundle(tiny_corpus, config, seed=5).to_json()
+        a = pack(train_bundle(tiny_corpus, config, seed=5).to_dict())
+        b = pack(train_bundle(tiny_corpus, config, seed=5).to_dict())
         assert a == b
 
     def test_roundtrip_preserves_predictions_exactly(self, tiny_corpus, tmp_path):
@@ -87,13 +92,13 @@ class TestBundle:
         leaf = right == np.arange(right.size)
         arrays["nonflaky"] = linalg.encode_array(np.where(leaf, 1.0 - value, 0.0))
         old = tmp_path / "with_nonflaky.json"
-        old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        old.write_bytes(pack(data))
 
         loaded, expected = ModelBundle.load(old), ModelBundle.load(plain)
         assert np.array_equal(loaded.score_texts(texts), expected.score_texts(texts))
         for text in texts[:5]:
             assert np.array_equal(loaded.score_texts([text]), expected.score_texts([text]))
-        assert loaded.to_json() == plain.read_text()
+        assert pack(loaded.to_dict()) == plain.read_bytes()
 
     def test_default_threshold_is_half(self, tiny_corpus):
         config = PipelineConfig.from_profile("xgb", "paper_vanilla")
@@ -133,9 +138,60 @@ class TestBundle:
         payload = bundle.to_dict()
         payload["format_version"] = 999
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(pack(payload))
         with pytest.raises(Exception):
             ModelBundle.load(path)
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "xgb", "knn", "svm"])
+    def test_load_leaves_no_reference_cycles(self, family, tiny_corpus, tmp_path):
+        """Loading and scoring a bundle frees everything by reference
+        counting: a cycle would hold each loaded file's bytes until the
+        next cyclic collection."""
+        texts = [e.text for e in tiny_corpus][:3]
+        path = tmp_path / f"{family}.json"
+        train_bundle(tiny_corpus, PipelineConfig.from_profile(family, "paper_vanilla")).save(path)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                ModelBundle.load(path).score_texts(texts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_loaded_arrays_are_aligned_views_of_the_file(self, tiny_corpus, tmp_path):
+        """The header is padded so that every array starts on an 8-byte
+        boundary: each loads in place, read-only, with no copy."""
+        path = tmp_path / "knn.json"
+        train_bundle(tiny_corpus, PipelineConfig.from_profile("knn", "paper_vanilla")).save(path)
+        raw = path.read_bytes()
+        assert (raw.index(b"\0") + 1) % 8 == 0
+        loaded = ModelBundle.load(path)
+        for a in (loaded.pipeline.pca.components, loaded.pipeline.model.X_train):
+            assert a.flags.aligned and not a.flags.writeable and not a.flags.owndata
+
+    def test_failed_save_keeps_the_old_bundle(self, tiny_manifest, tmp_path, monkeypatch,
+                                              capsys):
+        """A write that fails partway leaves the bundle that was there byte
+        for byte and no temporary file; ``train`` exits 3 with one line."""
+        out = tmp_path / "out"
+        bundle = out / "bundle.json"
+        train = ["train", "--manifest", str(tiny_manifest), "--family", "knn",
+                 "--out", str(bundle)]
+        assert cli.main([*train, "--seed", "1"]) == 0
+        before = bundle.read_bytes()
+
+        def write_half(path, raw):
+            with open(path, "wb") as f:
+                f.write(raw[: len(raw) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half)
+        capsys.readouterr()
+        assert cli.main([*train, "--seed", "2"]) == 3
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert bundle.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["bundle.json"]
 
 
 class TestCliIngest:
@@ -272,7 +328,7 @@ class TestCliTrainPredict:
             "--tune-threshold", "--seed", 3, "--out", bundle_path,
         )
         assert proc.returncode == 0
-        payload = json.loads(bundle_path.read_text())
+        payload = unpack(bundle_path.read_bytes())
         grid = [round(0.1 + 0.1 * i, 10) for i in range(9)]
         assert payload["threshold"] in grid
 
@@ -426,6 +482,11 @@ def _bundle_at(tmp_path, name):
 _TWO_FLAKY = ("flaky",) * 2 + ("nonflaky",) * 4
 
 
+# A number an edit puts where the header is to hold the NaN literal, which
+# no JSON writer writes; the file gets the literal in its place.
+_NAN = -1.2345e-300
+
+
 def _edited_bundle(tmp_path, payload, labels=_TWO_FLAKY):
     """A bundle of ``family``, trained on files of ``labels``, whose JSON
     ``edit`` changed."""
@@ -434,9 +495,10 @@ def _edited_bundle(tmp_path, payload, labels=_TWO_FLAKY):
     bundle = tmp_path / "bundle.json"
     assert cli.main(["train", "--manifest", str(manifest), "--family", family,
                      "--out", str(bundle)]) == 0
-    data = json.loads(bundle.read_text())
+    data = unpack(bundle.read_bytes())
     edit(data)
-    bundle.write_text(json.dumps(data))
+    nan = repr(_NAN).encode()
+    bundle.write_bytes(pack(data).replace(nan, b"NaN".ljust(len(nan))))
     return ["predict", "--bundle", bundle, tmp_path / "t0.py"]
 
 
@@ -471,8 +533,20 @@ def _huge_first_row(a):
     return a
 
 
+def _older_bundle(tmp_path, payload):
+    """A trained bundle of ``family`` as an earlier format wrote it, after
+    ``to_format`` changed its document: JSON text with no data section,
+    each array that still holds bytes in base64, as format 3 stored it."""
+    family, to_format = payload
+    argv = _edited_bundle(tmp_path, (family, _unchanged))
+    data = unpack(argv[2].read_bytes())
+    to_format(data)
+    argv[2].write_text(json.dumps(data, default=lambda raw: base64.b64encode(raw).decode()))
+    return argv
+
+
 def _to_format_1(data):
-    """A format-2 knn bundle as format 1 wrote it: float arrays as nested lists."""
+    """A knn bundle as format 1 wrote it: float arrays as nested lists."""
     data["format_version"] = 1
     for holder, keys in (
         (data["pca"], ("mean", "components", "explained_variance")),
@@ -531,11 +605,42 @@ def _set(name, index, value):
 
 
 def _to_format_2(data):
-    """A format-3 bundle as format 2 wrote it: trees as nested dicts."""
+    """An rf bundle as format 2 wrote it: trees as nested dicts."""
     data["format_version"] = 2
     model = data["model"]
     flat = FlatTrees.from_payload(model["trees"], model["n_features"])
     model["trees"] = [node_to_dict(tree, classification=True) for tree in flat.to_nodes()]
+
+
+def _to_format_3(data):
+    """A bundle as format 3 wrote it: arrays as base64 text in the JSON."""
+    data["format_version"] = 3
+
+
+def _relaid_bundle(tmp_path, payload):
+    """A trained bundle of ``family`` whose file bytes ``change`` rewrote."""
+    family, change = payload
+    argv = _edited_bundle(tmp_path, (family, _unchanged))
+    argv[2].write_bytes(change(argv[2].read_bytes()))
+    return argv
+
+
+def _offsets_swapped(raw):
+    """The header's first two array offsets swapped in its text, which
+    keeps its length."""
+    header = raw[:raw.index(b"\0")]
+    (a, b), (c, d) = [m.span(1) for m in re.finditer(rb'"(?:float|int)64le": (\d+)', header)][:2]
+    return raw[:a] + raw[c:d] + raw[b:c] + raw[a:b] + raw[d:]
+
+
+def _header_not_utf8(raw):
+    return raw.replace(b'"format_version"', b'"format_versio\xff"', 1)
+
+
+def _data_unaligned(raw):
+    """One more space before the NUL byte that ends the header."""
+    end = raw.index(b"\0")
+    return raw[:end] + b" " + raw[end:]
 
 
 def _labelled_manifest(tmp_path, labels):
@@ -601,9 +706,9 @@ def _overflowing_bundle(tmp_path, family):
     bundle = tmp_path / "bundle.json"
     assert cli.main(["train", "--manifest", str(manifest), "--family", family,
                      "--seed", "1", "--out", str(bundle)]) == 0
-    data = json.loads(bundle.read_text())
+    data = unpack(bundle.read_bytes())
     _edit_array(data["pca"], "components", _huge_first_row)
-    bundle.write_text(json.dumps(data))
+    bundle.write_bytes(pack(data))
     return ["predict", "--bundle", bundle, *sorted((tmp_path / "corpus").rglob("*.py"))[:3]]
 
 
@@ -711,11 +816,17 @@ MALFORMED_INPUTS = {
     "manifest-blank-lines": (_manifest_of, "\n  \n\t\n"),
     "bundle-not-json": (_bundle_with, "not json at all"),
     "bundle-missing-keys": (_bundle_with, f'{{"format_version": {FORMAT_VERSION}}}'),
-    "bundle-format-version-1": (_edited_bundle, ("knn", _to_format_1)),
+    "bundle-format-version-1": (_older_bundle, ("knn", _to_format_1)),
     "bundle-missing-file": (_bundle_at, "missing.json"),
     "bundle-unreadable": (_bundle_at, "a_directory"),
     "bundle-nested-too-deep": (_bundle_with, "[" * 5000 + "]" * 5000),
-    "bundle-format-version-2": (_edited_bundle, ("rf", _to_format_2)),
+    "bundle-format-version-2": (_older_bundle, ("rf", _to_format_2)),
+    "bundle-format-version-3": (_older_bundle, ("svm", _to_format_3)),
+    "bundle-data-cut-short": (_relaid_bundle, ("knn", lambda raw: raw[:-8])),
+    "bundle-trailing-byte": (_relaid_bundle, ("dt", lambda raw: raw + b"\0")),
+    "bundle-offsets-swapped": (_relaid_bundle, ("xgb", _offsets_swapped)),
+    "bundle-header-not-utf8": (_relaid_bundle, ("rf", _header_not_utf8)),
+    "bundle-data-unaligned": (_relaid_bundle, ("svm", _data_unaligned)),
     "bundle-vocabulary-duplicate": (
         _edited_bundle, ("dt", lambda d: d["vocabulary"].__setitem__(1, d["vocabulary"][0]))
     ),
@@ -753,7 +864,7 @@ MALFORMED_INPUTS = {
     "bundle-svm-weight-nan": (
         _tampered_bundle, ("svm", lambda m: _edit_array(m, "w", _nan_first))
     ),
-    "bundle-svm-bias-nan": (_tampered_bundle, ("svm", lambda m: m.update(b=float("nan")))),
+    "bundle-svm-bias-nan": (_tampered_bundle, ("svm", lambda m: m.update(b=_NAN))),
     "bundle-pca-mean-nan": (
         _edited_bundle, ("knn", lambda d: _edit_array(d["pca"], "mean", _nan_first))
     ),
@@ -763,8 +874,8 @@ MALFORMED_INPUTS = {
     "bundle-knn-rows-narrower-than-pca": (
         _tampered_bundle, ("knn", lambda m: _edit_array(m, "X_train", lambda a: a[:, :-1]))
     ),
-    "bundle-knn-rows-not-base64": (
-        _tampered_bundle, ("knn", lambda m: m["X_train"].update(float64le="not base64!"))
+    "bundle-knn-rows-offset-not-integer": (
+        _tampered_bundle, ("knn", lambda m: m["X_train"].update(float64le="not an offset"))
     ),
     "bundle-knn-zero-neighbors": (_tampered_bundle, ("knn", lambda m: m.update(n_neighbors=0))),
     "bundle-knn-label-missing": (
@@ -773,7 +884,7 @@ MALFORMED_INPUTS = {
     "bundle-knn-label-not-binary": (
         _tampered_bundle, ("knn", lambda m: m["y_train"].__setitem__(0, 3))
     ),
-    "bundle-threshold-nan": (_edited_bundle, ("dt", lambda d: d.update(threshold=float("nan")))),
+    "bundle-threshold-nan": (_edited_bundle, ("dt", lambda d: d.update(threshold=_NAN))),
     "bundle-n-features-string": (
         _tampered_bundle, ("xgb", lambda m: m.update(n_features=str(m["n_features"])))
     ),
@@ -785,7 +896,7 @@ MALFORMED_INPUTS = {
     ),
     "bundle-tokenizer-unknown": (_edited_bundle, ("xgb", lambda d: d.update(tokenizer="bogus"))),
     "bundle-xgb-base-raw-nan": (
-        _tampered_bundle, ("xgb", lambda m: m.update(base_raw=float("nan")))
+        _tampered_bundle, ("xgb", lambda m: m.update(base_raw=_NAN))
     ),
     "bundle-xgb-learning-rate-string": (
         _tampered_bundle, ("xgb", lambda m: m.update(learning_rate="0.3"))
@@ -806,6 +917,7 @@ MALFORMED_INPUTS = {
     "config-hyperparameter-invalid": (
         _configured, ("evaluate", {"hyperparameters": {"max_depth": "x"}})
     ),
+    "config-hyperparameter-unknown": (_family_hyperparameters, ("dt", {"depth": 3})),
     "config-models-not-list": (_configured, ("experiment", {"models": "dt"})),
     "config-pca-zero": (_configured, ("train", {"pca": 0})),
     "config-seed-negative": (_configured, ("train", {"seed": -1})),
@@ -851,16 +963,23 @@ MALFORMED_INPUTS = {
 
 
 # Cases whose one line must also say what to do, or which check failed.
-_RETRAIN = "predates format 3; retrain it with `qflake train`"
+_RETRAIN = "predates format 4; retrain it with `qflake train`"
 _VOCABULARY = "vocabulary must be a list of distinct strings in sorted order"
 MALFORMED_MESSAGES = {
     "bundle-format-version-1": f"format_version 1 {_RETRAIN}",
     "bundle-format-version-2": f"format_version 2 {_RETRAIN}",
+    "bundle-format-version-3": f"format_version 3 {_RETRAIN}",
+    "bundle-data-cut-short": "array of shape [11] needs 88 bytes, 80 remain",
+    "bundle-trailing-byte": "bytes after the last array: 1",
+    "bundle-offsets-swapped": "array int64le at offset 4608, expected 0",
+    "bundle-header-not-utf8": "not UTF-8 text (invalid start byte at byte ",
+    "bundle-data-unaligned": "not on an 8-byte boundary",
+    "bundle-knn-rows-offset-not-integer": 'array float64le at offset "not an offset", expected 0',
     "bundle-vocabulary-duplicate": _VOCABULARY,
     "bundle-vocabulary-not-string": _VOCABULARY,
     "bundle-tree-feature-out-of-range": "tree node 0 has feature 11, not a column index below 11",
     "bundle-tree-feature-negative": "has feature -1, not a column index below",
-    "bundle-tree-feature-not-integer": "tree feature: array int64le must be a base64 string",
+    "bundle-tree-feature-not-integer": "tree feature: array holds no int64le bytes",
     "bundle-tree-threshold-not-finite": "tree threshold: array holds NaN or infinite values",
     "bundle-tree-arrays-unequal": "tree node arrays differ in length",
     "bundle-tree-right-past-end": "tree node 0 has right child 7, not in (1, 7)",
@@ -902,6 +1021,10 @@ MALFORMED_MESSAGES = {
     ),
     "config-hyperparameter-invalid": (
         "cfg.json: dt hyperparameter 'max_depth' must be null or an integer >= 0, got \"x\""
+    ),
+    "config-hyperparameter-unknown": (
+        "cfg.json: dt has no hyperparameter 'depth'; "
+        "it takes 'criterion', 'max_depth', 'min_samples_leaf', 'min_samples_split'"
     ),
     "config-seed-not-integer": "cfg.json: 'seed' must be an integer, got \"abc\"",
     "config-seed-true": "cfg.json: 'seed' must be an integer, got true",
@@ -947,7 +1070,7 @@ def test_model_echo_fields_are_ignored_on_load(family, tmp_path, capsys):
                      "--seed", "3", "--out", str(plain)]) == 0
     assert cli.main(["predict", "--bundle", str(plain), *sources]) == 0
     expected = capsys.readouterr().out.split("\n", 1)[1]
-    data = json.loads(plain.read_text())
+    data = unpack(plain.read_bytes())
     assert not {"params", "seed", "flags"} & data["model"].keys()
     metadata = data["metadata"]
     assert "effective_config" not in metadata
@@ -964,12 +1087,12 @@ def test_model_echo_fields_are_ignored_on_load(family, tmp_path, capsys):
     ]:
         data["model"].update(model_echo)
         metadata["effective_config"] = settings_echo
-        echoed.write_text(json.dumps(data))
+        echoed.write_bytes(pack(data))
         assert cli.main(["predict", "--bundle", str(echoed), *sources]) == 0
         assert capsys.readouterr().out == expected
         loaded = ModelBundle.load(echoed)
         assert loaded.metadata.pop("effective_config") == settings_echo
-        assert loaded.to_json() == plain.read_text()
+        assert pack(loaded.to_dict()) == plain.read_bytes()
 
 
 @pytest.mark.parametrize("given_by", ["option", "config"])
@@ -984,7 +1107,7 @@ def test_pca_none_fits_without_pca(given_by, tmp_path, capsys):
     bundle = tmp_path / "knn.json"
     assert cli.main(["train", "--manifest", str(manifest), "--family", "knn", *option,
                      "--out", str(bundle)]) == 0
-    data = json.loads(bundle.read_text())
+    data = unpack(bundle.read_bytes())
     assert data["pca"] is None
     assert data["metadata"]["pca_requested"] is data["metadata"]["pca_effective"] is None
     assert ModelBundle.load(bundle).pipeline.model.n_features == len(data["vocabulary"])

@@ -1,7 +1,9 @@
 """Malformed input as a property: a valid bundle, manifest or --config file
-with one JSON node replaced or deleted never makes ``qflake`` raise, exit
-3 or print more than one line on stderr. The hand-written cases in
-``test_bundle_cli`` pin the message of each known one.
+with one JSON node replaced or deleted (for a bundle, a node of its
+header, array offsets included), or a bundle cut short or with a byte
+appended, never makes ``qflake`` raise, exit 3 or print more than one
+line on stderr. The hand-written cases in ``test_bundle_cli`` pin the
+message of each known one.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflake import cli
+from qflake.bundle import pack
 from qflake.jsonio import loads
 
 FAMILIES = ("dt", "rf", "xgb", "knn", "svm")
@@ -82,7 +85,7 @@ def assert_predicted(argv, sources):
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
     """A trainable manifest of six files (two flaky), its records, and a
-    bundle of each family trained on it."""
+    bundle file of each family trained on it."""
     root = tmp_path_factory.mktemp("valid")
     records = []
     for i in range(N_FILES):
@@ -97,7 +100,7 @@ def valid(tmp_path_factory):
     for family in FAMILIES:
         path = root / f"{family}.json"
         assert run(["train", "--manifest", manifest, "--family", family, "--out", path])[0] == 0
-        bundles[family] = json.loads(path.read_text())
+        bundles[family] = path.read_bytes()
     sources = sorted(root.glob("t*.py"))
     return {"root": root, "manifest": manifest, "records": records, "bundles": bundles,
             "sources": sources}
@@ -106,11 +109,29 @@ def valid(tmp_path_factory):
 @settings(max_examples=300)
 @given(data=st.data(), family=st.sampled_from(FAMILIES), value=st.sampled_from(POOL))
 def test_mutated_bundle_predicts_or_exits_2(valid, data, family, value):
-    doc = valid["bundles"][family]
+    """One node of the header replaced or deleted; ``pack`` pads the
+    header again, and the data section follows it unchanged."""
+    header, _, arrays = valid["bundles"][family].partition(b"\0")
+    doc = json.loads(header)
     path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
     bundle = valid["root"] / "mutated-bundle.json"
-    bundle.write_text(json.dumps(mutated(doc, path, value)))
+    bundle.write_bytes(pack(mutated(doc, path, value)) + arrays)
     assert_predicted(["predict", "--bundle", bundle, *valid["sources"]], valid["sources"])
+
+
+@settings(max_examples=150)
+@given(data=st.data(), family=st.sampled_from(FAMILIES), cut=st.booleans())
+def test_cut_or_extended_bundle_predicts_or_exits_2(valid, data, family, cut):
+    """A bundle file cut at a drawn byte, or with a drawn byte appended."""
+    raw = valid["bundles"][family]
+    if cut:
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw += bytes([data.draw(st.integers(0, 255), label="byte")])
+    bundle = valid["root"] / "cut-bundle.json"
+    bundle.write_bytes(raw)
+    code, _, err = run(["predict", "--bundle", bundle, *valid["sources"]])
+    assert (code, len(err.splitlines())) == (2, 1), err
 
 
 @settings(max_examples=150)

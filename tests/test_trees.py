@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflake.bundle import ModelBundle
+from qflake.bundle import ModelBundle, pack
 from qflake.classifiers import (
     DecisionTreeModel,
     GradientBoostingModel,
@@ -205,7 +205,7 @@ class TestDecisionTree:
     def test_unknown_hyperparameter_rejected(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        with pytest.raises(QflakeError, match=r"dt: unknown hyperparameter\(s\) \['depth'\]"):
+        with pytest.raises(QflakeError, match="^dt has no hyperparameter 'depth'; it takes "):
             train_decision_tree(X, y, {"depth": 3})
 
     def test_scores_in_unit_interval(self):
@@ -347,7 +347,7 @@ def test_deep_chain_grows_scores_and_round_trips(family, params, tmp_path):
     bundle = ModelBundle(tokenizer="default", pipeline=pipeline, metadata={})
     bundle.save(tmp_path / "deep.json")
     loaded = ModelBundle.load(tmp_path / "deep.json")
-    assert loaded.to_json() == bundle.to_json()
+    assert pack(loaded.to_dict()) == pack(bundle.to_dict())
     assert loaded.pipeline.model.flat.depth == 1299
     assert np.array_equal(loaded.pipeline.score_counts(X), scores)
     counts = [1, 2, 1298, 1299]

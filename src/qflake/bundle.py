@@ -41,6 +41,7 @@ SOURCE_DATE_EPOCH is set; a wall clock would break byte-identical reruns.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,11 +99,11 @@ class ModelBundle:
             )
         get_tokenizer_profile(tokenizer)
         tokens = d["vocabulary"]
+        # strictly increasing is sorted and distinct; both passes run in C
         if not (
             isinstance(tokens, list)
-            and all(type(t) is str for t in tokens)
-            and tokens == sorted(tokens)
-            and len(set(tokens)) == len(tokens)
+            and set(map(type, tokens)) <= {str}
+            and all(map(operator.lt, tokens, tokens[1:]))
         ):
             raise QflakeError(
                 "bundle vocabulary must be a list of distinct strings in sorted order"

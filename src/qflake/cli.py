@@ -6,12 +6,13 @@ help. ``main`` resolves the settings a command takes before it runs: a
 command-line value wins over the ``--config`` JSON file's, which wins
 over the default. Each output records the settings it was made with
 once: a bundle in its metadata, evaluate in its report, experiment in
-its run.json. Exit codes: 0 success, 2 bad input, 3 a failed run. The
-type of the error decides, in ``main`` alone: a ``PipelineError`` (valid
-input that a stage could not fit or score) prints ``<command> failed:
-<msg>`` and exits 3; any other ``QflakeError`` (bad usage, manifest,
-file, bundle, setting or hyperparameter) prints ``error: <msg>`` and
-exits 2. Every JSON file is read and written through ``jsonio``.
+its run.json. Exit codes: 0 success, 2 bad input, 3 a failed run, 130
+an interrupt (Ctrl-C, one ``interrupted`` line). The type of the error
+decides, in ``main`` alone: a ``PipelineError`` (valid input that a
+stage could not fit or score) prints ``<command> failed: <msg>`` and
+exits 3; any other ``QflakeError`` (bad usage, manifest, file, bundle,
+setting or hyperparameter) prints ``error: <msg>`` and exits 2. Every
+JSON file is read and written through ``jsonio``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .text import TOKENIZER_PROFILES
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _Setting(NamedTuple):
@@ -431,8 +433,12 @@ def cmd_experiment(args) -> int:
     run_id = hashlib.sha256(
         dumps(run_config, sort_keys=True).encode("utf-8")
     ).hexdigest()[:12]
-    out_dir = (args.out or Path("results")) / run_id
-    _prepare_out(out_dir, directory=True)
+    base = args.out or Path("results")
+    out_dir = base / run_id
+    # write_results creates the run directory, so a failed run leaves none
+    _prepare_out(base, directory=True)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise QflakeError(f"--out {out_dir} is not a directory")
 
     tables = run_paper_suite(
         corpus,
@@ -473,6 +479,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -391,8 +392,11 @@ _worker_state: _CrossValState | None = None
 
 
 def _init_worker(state: _CrossValState, parent: int) -> None:
+    """Ctrl-C reaches the whole process group. A worker ignores it and the
+    parent, which alone reports it, shuts the pool down."""
     global _worker_state
     _worker_state = state
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
 
 
@@ -418,10 +422,15 @@ def _fit_cells(state: _CrossValState, tasks) -> list[tuple[FoldResult, ...]]:
     (fold, group) pairs go out and FoldResults come back. The first task,
     in task order, that fails raises its exception here, as it would in a
     serial run; tasks not yet started are cancelled, and every worker has
-    exited before this returns or raises. Fork, not spawn: a spawned
-    worker would import numpy again (about 0.15 s) and unpickle every
-    document, per worker and per call, against a 1-3 s suite pass at the
-    benchmark's scale; qflake starts no thread of its own before it forks.
+    exited before this returns or raises. A worker that dies (killed, out
+    of memory) breaks the pool; the first task in task order left without
+    a result, or not yet sent, then raises a PipelineError that names its
+    fold and family.
+
+    Fork, not spawn: a spawned worker would import numpy again (about
+    0.15 s) and unpickle every document, per worker and per call, against
+    a 1-3 s suite pass at the benchmark's scale; qflake starts no thread
+    of its own before it forks.
     """
     workers = _worker_count(len(tasks))
     if workers == 1:
@@ -430,15 +439,28 @@ def _fit_cells(state: _CrossValState, tasks) -> list[tuple[FoldResult, ...]]:
     # does not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
         workers, multiprocessing.get_context("fork"), _init_worker, (state, os.getpid())
     )
+    futures, results = [], []
     try:
-        futures = [pool.submit(_fit_cell_in_worker, f, g) for f, g in tasks]
-        return [future.result() for future in futures]
+        for f, g in tasks:
+            futures.append(pool.submit(_fit_cell_in_worker, f, g))
+        for future in futures:
+            results.append(future.result())
+    except BrokenProcessPool:
+        # the first task not sent, if the pool broke while tasks were still
+        # going out, else the first one without a result
+        f, g = tasks[len(futures) if len(futures) < len(tasks) else len(results)]
+        family = state.groups[g][0].family
+        raise PipelineError(
+            f"a worker process ended abruptly; fold {f} ({family}) was not fitted"
+        ) from None
     finally:
         pool.shutdown(cancel_futures=True)
+    return results
 
 
 def cross_validate_all(

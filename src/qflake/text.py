@@ -3,6 +3,11 @@
 Stop words are never removed: keywords such as ``if`` and ``else`` carry
 syntactic signal in source code. Counts are raw term frequencies with no
 weighting or normalization.
+
+Both steps do their per-character and per-token work in C: ``tokenize``
+with one ``str.translate`` and one ``str.split`` (or, for a text that is
+not ASCII, one regular-expression scan), ``transform`` with one
+``dict.get`` pass over all tokens and one ``bincount``.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -51,15 +57,34 @@ def get_tokenizer_profile(name: str) -> TokenizerProfile:
         ) from None
 
 
+# str.translate table: an ASCII word character stays, any other becomes a
+# space. A word character is one for which ``ch.isalnum() or ch == "_"``
+# holds, CPython's ``\w`` for ``str`` patterns (``SRE_UNI_IS_WORD``).
+_ASCII_WORD_OR_SPACE = {
+    code: code if chr(code).isalnum() or code == 95 else 32 for code in range(128)
+}
+
+
 def tokenize(text: str, profile: TokenizerProfile | None = None) -> list[str]:
     """Split text into maximal runs of word characters (letters, digits,
     underscore), dropping runs shorter than the profile's floor.
+
+    An ASCII text, as nearly all source code is, takes the C fast path of
+    ``str.translate``: every non-word character becomes a space, and
+    ``str.split`` leaves exactly the maximal ``\\w+`` runs, since no word
+    character is whitespace. Any other text is matched by the profile's
+    pattern. A ``str.translate`` over it looks up each character in a dict
+    and was about twice as slow as the pattern on files with a non-ASCII
+    character in them; the tokens are the same either way.
     """
     if profile is None:
         profile = TOKENIZER_PROFILES["default"]
     if profile.lowercase:
         text = text.lower()
-    return profile.pattern.findall(text)
+    if not text.isascii():
+        return profile.pattern.findall(text)
+    floor = profile.min_token_len
+    return [t for t in text.translate(_ASCII_WORD_OR_SPACE).split() if len(t) >= floor]
 
 
 @dataclass(frozen=True)
@@ -68,9 +93,10 @@ class Vocabulary:
 
     ordered_tokens: tuple[str, ...]
 
-    @property
+    @cached_property
     def token_to_col(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.ordered_tokens)}
+        """Column of each token, built once per vocabulary."""
+        return dict(zip(self.ordered_tokens, range(len(self.ordered_tokens))))
 
     def __len__(self) -> int:
         return len(self.ordered_tokens)
@@ -104,16 +130,14 @@ def transform(docs, vocab: Vocabulary) -> DocTermMatrix:
     at evaluation time produce well-defined (possibly all-zero) rows.
     """
     docs = list(docs)
-    mapping = vocab.token_to_col
-    width = len(vocab)
-    # one flat cell index per in-vocabulary occurrence, counted at once
-    cells = [
-        i * width + j
-        for i, doc in enumerate(docs)
-        for j in map(mapping.get, doc)
-        if j is not None
-    ]
-    counts = np.bincount(
-        np.array(cells, dtype=np.int64), minlength=len(docs) * width
-    ).astype(np.int64, copy=False).reshape(len(docs), width)
-    return DocTermMatrix(counts=counts)
+    n, width = len(docs), len(vocab)
+    lengths = np.fromiter(map(len, docs), np.int64, n)
+    # every token's column in document order, -1 out of vocabulary
+    cols = np.fromiter(
+        map(vocab.token_to_col.get, chain.from_iterable(docs), repeat(-1)),
+        np.int64,
+        int(lengths.sum()),
+    )
+    cells = np.repeat(np.arange(n, dtype=np.int64) * width, lengths) + cols
+    counts = np.bincount(cells[cols >= 0], minlength=n * width)
+    return DocTermMatrix(counts=counts.astype(np.int64, copy=False).reshape(n, width))

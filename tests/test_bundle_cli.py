@@ -1,17 +1,22 @@
 import base64
+import concurrent.futures
 import errno
 import gc
 import json
+import multiprocessing
+import os
 import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qflake import cli, linalg
+from qflake import cli, eval as eval_mod, linalg
 from qflake.bundle import FORMAT_VERSION, ModelBundle, pack, train_bundle, unpack
 from qflake.classifiers.tree import FlatTrees
 from qflake.corpus import Corpus, Label, load_manifest
@@ -833,6 +838,7 @@ MALFORMED_INPUTS = {
     "bundle-vocabulary-not-string": (
         _edited_bundle, ("dt", lambda d: d["vocabulary"].__setitem__(0, 7))
     ),
+    "bundle-vocabulary-unsorted": (_edited_bundle, ("dt", lambda d: d["vocabulary"].reverse())),
     "bundle-tree-feature-out-of-range": (
         _tampered_bundle,
         ("dt", lambda m: _edit_trees(
@@ -977,6 +983,7 @@ MALFORMED_MESSAGES = {
     "bundle-knn-rows-offset-not-integer": 'array float64le at offset "not an offset", expected 0',
     "bundle-vocabulary-duplicate": _VOCABULARY,
     "bundle-vocabulary-not-string": _VOCABULARY,
+    "bundle-vocabulary-unsorted": _VOCABULARY,
     "bundle-tree-feature-out-of-range": "tree node 0 has feature 11, not a column index below 11",
     "bundle-tree-feature-negative": "has feature -1, not a column index below",
     "bundle-tree-feature-not-integer": "tree feature: array holds no int64le bytes",
@@ -1224,6 +1231,46 @@ def _more_neighbors_than_rows(tmp_path, manifest, monkeypatch):
             "--config", cfg]
 
 
+def _worker_killed(tmp_path, manifest, monkeypatch):
+    """Two pool workers; the task of fold 1 kills its own worker, as a
+    SIGKILL or an out-of-memory kill would."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs fork")
+    real_fit_cell = eval_mod._fit_cell
+
+    def dying(state, f, g):
+        if f == 1:
+            os._exit(9)
+        return real_fit_cell(state, f, g)
+
+    monkeypatch.setattr(eval_mod, "_worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(eval_mod, "_fit_cell", dying)
+    return ["experiment", "--manifest", manifest, "--methods", "vanilla", "--models", "dt",
+            "--folds", 2, "--out", tmp_path / "out"]
+
+
+def _pool_breaks_while_submitting(tmp_path, manifest, monkeypatch):
+    """Two workers; the pool breaks as the task of fold 1 goes out. The
+    stand-in pool starts no process."""
+    class BreaksOnSecondSubmit:
+        def __init__(self, *args):
+            self.sent = 0
+
+        def submit(self, fn, *args):
+            self.sent += 1
+            if self.sent == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return Future()
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(eval_mod, "_worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+    return ["experiment", "--manifest", manifest, "--methods", "vanilla", "--models", "dt",
+            "--folds", 2, "--out", tmp_path / "out"]
+
+
 # Valid input that a stage cannot fit: case -> (argv builder, the line's start)
 FAILED_RUNS = {
     "svd-not-converged": (_svd_never_converges, "experiment failed: SVD did not converge"),
@@ -1235,13 +1282,38 @@ FAILED_RUNS = {
         _more_neighbors_than_rows,
         "evaluate failed: n_neighbors=15 exceeds the 12 training rows",
     ),
+    "worker-killed": (
+        _worker_killed,
+        "experiment failed: a worker process ended abruptly; fold ",
+    ),
+    "pool-broken-while-submitting": (
+        _pool_breaks_while_submitting,
+        "experiment failed: a worker process ended abruptly; fold 1 (dt) was not fitted\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(FAILED_RUNS))
 def test_failed_run_exits_3_with_one_line(case, tiny_manifest, tmp_path, monkeypatch, capsys):
+    """A failed run ends in one line and leaves no run directory and no
+    worker process behind."""
     build, message = FAILED_RUNS[case]
-    code = cli.main([str(a) for a in build(tmp_path, tiny_manifest, monkeypatch)])
+    argv = [str(a) for a in build(tmp_path, tiny_manifest, monkeypatch)]
+    before = set(tmp_path.rglob("*"))
+    code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 3, err
     assert len(err.splitlines()) == 1 and err.startswith(message), err
+    # at most an empty --out directory: no run directory, no file
+    created = set(tmp_path.rglob("*")) - before
+    assert all(p.is_dir() and not any(p.iterdir()) for p in created), created
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_exits_130_with_one_line(tiny_manifest, monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "experiment", interrupted)
+    assert cli.main(["experiment", "--manifest", str(tiny_manifest)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"

@@ -2,11 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qflake.text import (
     TOKENIZER_PROFILES,
+    Vocabulary,
     fit_vocabulary,
     get_tokenizer_profile,
     tokenize,
@@ -54,9 +55,30 @@ def word_runs_filtered(text, profile):
     ),
     name=st.sampled_from(sorted(TOKENIZER_PROFILES)),
 )
+# combining marks between letters; "İ" lowercases to "i" plus a combining
+# dot that is no word character; the Kelvin sign lowercases to ASCII "k"
+@example(text="e\u0301te\u0301 İstanbul İİ a\u0308b \u212aelvin", name="default")
+# superscript and other-script digits are word characters
+@example(text="x² + y³ = z¹²; n٣٣ ⅻ", name="strict_code")
+# Unicode whitespace and separators split runs
+@example(text="ab\u00a0cd\u2003ef\u2028gh\u3000ij\x1cKL\x85mn", name="default")
+@example(text="Σίσυφος ǅungla ß_ẞ 名前_変数 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 \ud800x", name="strict_code")
 def test_tokens_equal_filtered_word_runs(text, name):
     profile = TOKENIZER_PROFILES[name]
     assert tokenize(text, profile) == word_runs_filtered(text, profile)
+
+
+def test_word_rule_is_regex_word_on_every_code_point():
+    """The word rule ``ch.isalnum() or ch == "_"`` that ``tokenize``'s
+    translation table is built from is ``\\w`` on every code point, and no
+    word character is whitespace, so splitting the translated text on
+    whitespace leaves the ``\\w+`` runs. Both facts depend on the running
+    Python's Unicode tables."""
+    for code in range(0x110000):
+        ch = chr(code)
+        word = ch.isalnum() or ch == "_"
+        assert word == (re.fullmatch(r"\w", ch) is not None), hex(code)
+        assert not (word and ch.isspace()), hex(code)
 
 
 class TestVocabulary:
@@ -94,8 +116,22 @@ class TestTransform:
 
     def test_out_of_vocabulary_ignored(self):
         vocab = fit_vocabulary([["a"]])
-        m = transform([["zz", "yy"]], vocab)
-        assert m.counts.tolist() == [[0]]
+        m = transform([["a"], ["zz", "yy"], ["a", "zz", "a"]], vocab)
+        assert m.counts.tolist() == [[1], [0], [2]]
+
+    def test_no_documents(self):
+        m = transform([], fit_vocabulary([["a", "b", "c"]]))
+        assert m.counts.shape == (0, 3)
+        assert m.counts.dtype == np.int64
+
+    def test_reused_vocabulary_counts_as_fresh(self):
+        docs = [["b", "a", "b"], ["c"], []]
+        vocab = fit_vocabulary(docs)
+        first = transform(docs, vocab)
+        again = transform(docs[::-1], vocab)
+        fresh = transform(docs[::-1], Vocabulary(vocab.ordered_tokens))
+        assert np.array_equal(again.counts, fresh.counts)
+        assert np.array_equal(again.counts, first.counts[::-1])
 
 
 token_lists = st.lists(
